@@ -142,8 +142,11 @@ let collector () =
 let run_level ~requests ~workers ~seed =
   let total = Prelude.Parallel.recommended_jobs () in
   let jobs = max 1 (total / workers) in
-  (* Every third request repeats an earlier instance, so the stream mixes
-     cold solves with cache hits the way a multi-tenant batch would. *)
+  (* Half the requests repeat an earlier instance, so the stream mixes cold
+     solves with cache hits the way a multi-tenant batch would: request
+     3k+1 duplicates request 3k right before it (334 of 1000), and request
+     3k+2 re-sends [uniq.(k)], already sent at request 3k/2 when k is
+     even. *)
   let uniq = instances ~seed ~count:(max 1 ((requests * 2 / 3) + 1)) in
   let pick i = uniq.(if i mod 3 = 2 then i / 3 mod Array.length uniq else i * 2 / 3 mod Array.length uniq) in
   let emit, completions, n_done = collector () in

@@ -74,8 +74,7 @@ let guard f =
 
 let solver_conv =
   (* The name grammar lives in [Core.solver_of_string], shared with the
-     serve protocol's "solver" field.  [Portfolio]'s job count is a
-     placeholder; [solve] substitutes --jobs. *)
+     serve protocol's "solver" field. *)
   let parse s =
     match Core.solver_of_string s with
     | Some solver -> Ok solver
@@ -174,14 +173,13 @@ let solve_cmd =
                  p.Telemetry.p_name p.Telemetry.p_nodes p.Telemetry.p_fails
                  p.Telemetry.p_depth p.Telemetry.p_rate p.Telemetry.p_elapsed))
     end;
-    let stats_acc = ref [] in
-    let dump_trace () =
+    let dump_trace stats =
       match trace with
       | None -> ()
       | Some out ->
         Telemetry.stop ();
         let events = Telemetry.drain () in
-        let json = Telemetry.to_chrome_json ~stats:(List.rev !stats_acc) events in
+        let json = Telemetry.to_chrome_json ~stats events in
         (* Atomic: a crash or Ctrl-C mid-write must not leave a truncated
            trace for the CI shape check to choke on. *)
         Resilience.Artifact.write_atomic out json;
@@ -189,62 +187,23 @@ let solve_cmd =
         Printf.eprintf "trace: %d event(s) written to %s%s\n%!" (List.length events) out
           (if dropped > 0 then Printf.sprintf " (%d dropped)" dropped else "")
     in
-    let print_verdict verdict elapsed =
-      match verdict with
-      | Core.Feasible _ ->
-        Printf.printf "feasible (%.4fs, %s)\n" elapsed (Core.solver_name solver)
-      | Core.Infeasible -> Printf.printf "infeasible (%.4fs, proof)\n" elapsed
-      | Core.Limit -> Printf.printf "limit reached (%.4fs): undecided\n" elapsed
-      | Core.Memout reason -> Printf.printf "model too large: %s\n" reason
+    let jobs = if jobs > 0 then jobs else Prelude.Parallel.recommended_jobs () in
+    let r =
+      Core.run ~solver ~budget ~seed ~jobs ~memo_mb ~nogoods:(not no_nogoods) ~split_depth
+        ~stall_beats:watchdog_beats ts ~m
     in
-    let verdict, report =
-      match solver with
-      | Core.Portfolio _ ->
-        let jobs = if jobs > 0 then Some jobs else None in
-        let r = Core.solve_portfolio ?jobs ~budget ~seed ~stall_beats:watchdog_beats ts ~m in
-        List.iter
-          (fun b ->
-            if b.Portfolio.outcome <> None then
-              stats_acc := b.Portfolio.stats :: !stats_acc)
-          r.Portfolio.backends;
-        (r.Portfolio.verdict, Some (Portfolio.summary r))
-      | Core.Csp2_opt heuristic ->
-        let jobs = if jobs > 0 then Some jobs else None in
-        let verdict, elapsed, stats =
-          Core.solve_csp2_opt ~heuristic ~budget ~memo_mb ~nogoods:(not no_nogoods) ?jobs
-            ~split_depth ts ~m
-        in
-        print_verdict verdict elapsed;
-        Option.iter
-          (fun st ->
-            stats_acc := Csp2.Opt.to_stats ~backend:(Core.solver_name solver) st :: !stats_acc)
-          stats;
-        let report =
-          Option.map
-            (fun st ->
-              Printf.sprintf
-                "csp2-opt: nodes=%d fails=%d memo hits=%d misses=%d stores=%d (%.1f%% hit \
-                 rate) nogood hits=%d misses=%d stores=%d evicted=%d (%.1f%% hit rate) \
-                 subtrees=%d pulls=%d steals=%d parks=%d"
-                st.Csp2.Opt.nodes st.Csp2.Opt.fails st.Csp2.Opt.memo_hits
-                st.Csp2.Opt.memo_misses st.Csp2.Opt.memo_stores
-                (Csp2.Opt.hit_rate_pct ~hits:st.Csp2.Opt.memo_hits
-                   ~misses:st.Csp2.Opt.memo_misses)
-                st.Csp2.Opt.nogood_hits st.Csp2.Opt.nogood_misses st.Csp2.Opt.nogood_stores
-                st.Csp2.Opt.nogood_evicted
-                (Csp2.Opt.hit_rate_pct ~hits:st.Csp2.Opt.nogood_hits
-                   ~misses:st.Csp2.Opt.nogood_misses)
-                st.Csp2.Opt.subtrees st.Csp2.Opt.pulls st.Csp2.Opt.steals st.Csp2.Opt.parks)
-            stats
-        in
-        (verdict, report)
-      | _ ->
-        let verdict, elapsed = Core.solve ~solver ~budget ~seed ts ~m in
-        print_verdict verdict elapsed;
-        (verdict, None)
-    in
-    Option.iter print_endline report;
-    dump_trace ();
+    let verdict = r.Portfolio.verdict in
+    (match verdict with
+    | Core.Feasible _ ->
+      Printf.printf "feasible (%.4fs, %s)\n" r.Portfolio.time_s (Core.solver_name solver)
+    | Core.Infeasible -> Printf.printf "infeasible (%.4fs, proof)\n" r.Portfolio.time_s
+    | Core.Limit -> Printf.printf "limit reached (%.4fs): undecided\n" r.Portfolio.time_s
+    | Core.Memout reason -> Printf.printf "model too large: %s\n" reason);
+    print_endline (Portfolio.summary ~label:(Core.solver_name solver) r);
+    dump_trace
+      (List.filter_map
+         (fun (b : Portfolio.backend_stats) -> Option.map (fun _ -> b.stats) b.outcome)
+         r.Portfolio.backends);
     (match verdict with
     | Core.Feasible sched -> if not quiet then Format.printf "%a@." Schedule.pp sched
     | Core.Infeasible | Core.Limit | Core.Memout _ -> ());

@@ -8,7 +8,7 @@ type solver =
   | Csp2_dedicated of Csp2.Heuristic.t
   | Csp2_opt of Csp2.Heuristic.t
   | Local_search
-  | Portfolio of int
+  | Portfolio
 
 let default_solver = Csp2_dedicated Csp2.Heuristic.DC
 
@@ -19,7 +19,7 @@ let solver_name = function
   | Csp2_dedicated h -> "csp2+" ^ Csp2.Heuristic.to_string h
   | Csp2_opt h -> "csp2-opt+" ^ Csp2.Heuristic.to_string h
   | Local_search -> "local-search"
-  | Portfolio jobs -> Printf.sprintf "portfolio(%d)" jobs
+  | Portfolio -> "portfolio"
 
 (* Inverse of {!solver_name}'s CLI spellings; shared by the cmdliner
    converter in [bin/mgrts.ml] and the serve protocol's "solver" field so
@@ -36,8 +36,7 @@ let solver_of_string s =
   | "csp1-sat" | "sat" -> Some Csp1_sat
   | "csp2-generic" -> Some Csp2_generic
   | "local" | "local-search" -> Some Local_search
-  (* The job count is a placeholder; callers substitute their own. *)
-  | "portfolio" -> Some (Portfolio 0)
+  | "portfolio" -> Some Portfolio
   | "csp2-opt" | "opt" -> Some (Csp2_opt Csp2.Heuristic.DC)
   | "csp2" -> Some (Csp2_dedicated Csp2.Heuristic.Id)
   | other -> (
@@ -56,7 +55,7 @@ let all_solvers =
     Csp2_dedicated Csp2.Heuristic.DC;
     Csp2_opt Csp2.Heuristic.DC;
     Local_search;
-    Portfolio 4;
+    Portfolio;
   ]
 
 type verdict = Encodings.Outcome.t =
@@ -65,8 +64,17 @@ type verdict = Encodings.Outcome.t =
   | Limit
   | Memout of string
 
-let dispatch solver ~platform ~budget ~seed ?domains ts ~m =
+(* One engine run on a constrained-deadline system, as a race result: the
+   portfolio's own, or a single arm.  The four engines the portfolio also
+   races go through its table ({!Portfolio.run_spec}). *)
+let engine solver ~platform ~budget ~seed ~analyze ?jobs ?memo_mb ?nogoods ?split_depth
+    ?stall_beats ?domains ts ~m =
   let identical = Platform.is_identical platform in
+  let backend = solver_name solver in
+  let require_identical name =
+    if not identical then
+      invalid_arg (Printf.sprintf "Core.run: %s requires an identical platform" name)
+  in
   (* The heterogeneous fallback for the dedicated engines is {!Csp2.Het},
      which knows nothing of pruned domains: the analyzer derives them
      assuming identical unit-speed processors, so silently dropping them
@@ -74,247 +82,155 @@ let dispatch solver ~platform ~budget ~seed ?domains ts ~m =
      machine, and the solver would ignore an argument it was given).
      Reject loudly instead.  [seed] is genuinely unused on these paths —
      the dedicated searches are deterministic — so dropping it is fine. *)
-  let het_reject name =
+  let het name heuristic =
     if domains <> None then
       invalid_arg
         (Printf.sprintf
-           "Core.solve: %s on a heterogeneous platform falls back to Csp2.Het, which \
-            cannot use pruned domains (they assume identical processors)"
-           name)
+           "Core.run: %s on a heterogeneous platform falls back to Csp2.Het, which cannot \
+            use pruned domains (they assume identical processors)"
+           name);
+    let outcome, st = Csp2.Het.solve ~heuristic ~budget ~platform ts in
+    (outcome, Csp2.Solver.to_stats ~backend st)
+  in
+  let fd (outcome, st) =
+    ( outcome,
+      match st with
+      | Some st -> Fd.Search.to_stats ~backend st
+      | None -> Telemetry.Stats.make ~backend () )
+  in
+  let spec s = Portfolio.run_spec s ~budget ~seed ?memo_mb ?nogoods ?domains ts ~m in
+  let single (outcome, stats) =
+    let won = Encodings.Outcome.is_decided outcome in
+    {
+      Portfolio.verdict = outcome;
+      winner = (if won then Some backend else None);
+      time_s = stats.Telemetry.Stats.time_s;
+      backends =
+        [
+          { Portfolio.name = backend; outcome = Some outcome; stats; winner = won; status = Ran };
+        ];
+    }
   in
   match solver with
-  | Csp1_generic -> fst (Encodings.Csp1.solve ~platform ~budget ~seed ?domains ts ~m)
+  | Portfolio ->
+    require_identical "Portfolio";
+    Portfolio.solve ?jobs ~budget ~seed ~analyze ?stall_beats ?domains ts ~m
+  | Csp1_generic -> single (fd (Encodings.Csp1.solve ~platform ~budget ~seed ?domains ts ~m))
+  | Csp2_generic -> single (fd (Encodings.Csp2_fd.solve ~platform ~budget ~seed ?domains ts ~m))
   | Csp1_sat ->
-    if not identical then invalid_arg "Core.solve: Csp1_sat requires an identical platform";
-    fst (Encodings.Csp1_sat.solve ~budget ~seed ?domains ts ~m)
-  | Csp2_generic -> fst (Encodings.Csp2_fd.solve ~platform ~budget ~seed ?domains ts ~m)
-  | Csp2_dedicated heuristic ->
-    if identical then fst (Csp2.Solver.solve ~heuristic ~budget ?domains ts ~m)
-    else begin
-      het_reject "Csp2_dedicated";
-      fst (Csp2.Het.solve ~heuristic ~budget ~platform ts)
-    end
-  | Csp2_opt heuristic ->
-    (* Sequential by default at this level; {!solve_csp2_opt} exposes the
-       subtree-splitting knobs and the memo/steal counters. *)
-    if identical then fst (Csp2.Opt.solve ~heuristic ~budget ?domains ts ~m)
-    else begin
-      het_reject "Csp2_opt";
-      fst (Csp2.Het.solve ~heuristic ~budget ~platform ts)
-    end
+    require_identical "Csp1_sat";
+    single (spec Portfolio.Csp1_sat)
   | Local_search ->
-    if not identical then invalid_arg "Core.solve: Local_search requires an identical platform";
-    fst (Localsearch.Min_conflicts.solve ~seed ~budget ?domains ts ~m)
-  | Portfolio jobs ->
-    if not identical then invalid_arg "Core.solve: Portfolio requires an identical platform";
-    (* The analyzer already ran (or was disabled) at this level; hand the
-       arms its domains rather than re-running it inside the race. *)
-    (Portfolio.solve ~jobs ~budget ~seed ~analyze:false ?domains ts ~m).Portfolio.verdict
+    require_identical "Local_search";
+    single (spec Portfolio.Local_search)
+  | Csp2_dedicated h when not identical -> single (het "Csp2_dedicated" h)
+  | Csp2_dedicated h -> single (spec (Portfolio.Csp2 h))
+  | Csp2_opt h when not identical -> single (het "Csp2_opt" h)
+  | Csp2_opt heuristic -> (
+    match jobs with
+    | Some jobs when jobs > 1 ->
+      let outcome, st =
+        Csp2.Opt.solve_parallel ~heuristic ~budget ?domains ?memo_mb ?nogoods ~jobs ?split_depth
+          ts ~m
+      in
+      single (outcome, Csp2.Opt.to_stats ~backend st)
+    | _ -> single (spec (Portfolio.Csp2_opt heuristic)))
 
-(* The static pre-pass on a constrained system and identical platform:
-   decide outright when the analyzer can, otherwise return the pruned
-   domains for the search backend. *)
-let static_pass ~analyze ~platform ~budget ts ~m =
-  if not (analyze && Platform.is_identical platform) then `Search None
-  else
-    match (Analysis.analyze ~wall:budget ts ~m).Analysis.verdict with
-    | Analysis.Infeasible _ -> `Decided Encodings.Outcome.Infeasible
-    | Analysis.Trivially_feasible sched -> `Decided (Encodings.Outcome.Feasible sched)
-    | Analysis.Pruned d -> `Search (Some d)
+let dispatch solver ~platform ~budget ~seed ?domains ts ~m =
+  (engine solver ~platform ~budget ~seed ~analyze:false ?domains ts ~m).Portfolio.verdict
 
-let solve ?(solver = default_solver) ?platform ?(budget = Timer.unlimited) ?(seed = 0)
-    ?(verify = true) ?(analyze = true) ts ~m =
+let run ?(solver = default_solver) ?platform ?(budget = Timer.unlimited) ?(seed = 0)
+    ?(verify = true) ?(analyze = true) ?jobs ?memo_mb ?nogoods ?split_depth ?stall_beats ts ~m =
   let platform = match platform with Some p -> p | None -> Platform.identical ~m in
-  if Platform.processors platform <> m then invalid_arg "Core.solve: platform/m mismatch";
+  if Platform.processors platform <> m then invalid_arg "Core.run: platform/m mismatch";
   let t0 = Timer.start () in
-  let fail_invalid v =
-    failwith
-      (Format.asprintf "Core.solve: solver produced an invalid schedule: %a" Verify.pp_violation
-         v)
-  in
-  let check ~platform ts schedule =
+  let verified span check =
     if verify then
-      Telemetry.with_span "verify" ~cat:"core" (fun () ->
-          match Verify.check ~platform ts schedule with
+      Telemetry.with_span span ~cat:"core" (fun () ->
+          match check () with
           | Ok () -> ()
-          | Error (v :: _) -> fail_invalid v
+          | Error (v :: _) ->
+            failwith
+              (Format.asprintf "Core.run: solver produced an invalid schedule: %a"
+                 Verify.pp_violation v)
           | Error [] -> assert false)
   in
-  (* Clone-mapped schedules span the clone hyperperiod and serve the
-     original (possibly arbitrary-deadline) system: re-verify them with the
-     cyclic checker against the *original* task set — the clone-level check
-     alone would let a [Clone.map_schedule] bug ship an invalid schedule. *)
-  let check_mapped ~platform ts schedule =
-    if verify then
-      Telemetry.with_span "verify-mapped" ~cat:"core" (fun () ->
-          match Verify.check_cyclic ~platform ts schedule with
-          | Ok () -> ()
-          | Error (v :: _) -> fail_invalid v
-          | Error [] -> assert false)
+  (* Arbitrary deadlines: reduce via the clone transform (Section VI-B),
+     solve the constrained clone system, map task ids back. *)
+  let reduction = if Taskset.is_constrained ts then None else Some (Clone.transform ts) in
+  let cts, cplatform =
+    match reduction with
+    | None -> (ts, platform)
+    | Some r -> (Clone.cloned r, Clone.map_platform r platform)
   in
-  let static_pass ~platform ts =
-    Telemetry.with_span "static-pass" ~cat:"core" (fun () ->
-        static_pass ~analyze ~platform ~budget ts ~m)
+  (* The static pass decides outright when it can, and otherwise hands the
+     engine its pruned domains.  The portfolio runs it itself, as its
+     supervised arm 0 capped at half the wall. *)
+  let pre =
+    match solver with
+    | Portfolio -> `Search (None, [])
+    | _ ->
+      Telemetry.with_span "static-pass" ~cat:"core" (fun () ->
+          if not (analyze && Platform.is_identical cplatform) then `Search (None, [])
+          else
+            match Portfolio.analysis_arm (Analysis.analyze ~wall:budget cts ~m) with
+            | `Decided arm0 -> `Decided arm0
+            | `Pruned (d, arm0) -> `Search (Some d, [ arm0 ]))
   in
-  let dispatch ~platform ?domains ts =
-    Telemetry.with_span ("search:" ^ solver_name solver) ~cat:"core" (fun () ->
-        dispatch solver ~platform ~budget ~seed ?domains ts ~m)
+  let r =
+    match pre with
+    | `Decided arm0 ->
+      {
+        Portfolio.verdict = Option.get arm0.Portfolio.outcome;
+        winner = Some arm0.Portfolio.name;
+        time_s = 0.;
+        backends = [ arm0 ];
+      }
+    | `Search (domains, arms) ->
+      let r =
+        Telemetry.with_span ("search:" ^ solver_name solver) ~cat:"core" (fun () ->
+            engine solver ~platform:cplatform ~budget ~seed ~analyze ?jobs ?memo_mb ?nogoods
+              ?split_depth ?stall_beats ?domains cts ~m)
+      in
+      { r with Portfolio.backends = arms @ r.Portfolio.backends }
   in
   let verdict =
-    if Taskset.is_constrained ts then begin
-      match static_pass ~platform ts with
-      | `Decided (Feasible schedule as result) ->
-        check ~platform ts schedule;
-        result
-      | `Decided other -> other
-      | `Search domains -> (
-        match dispatch ~platform ?domains ts with
-        | Feasible schedule as result ->
-          check ~platform ts schedule;
-          result
-        | (Infeasible | Limit | Memout _) as other -> other)
-    end
-    else begin
-      (* Arbitrary deadlines: reduce via the clone transform (Section VI-B),
-         solve the constrained clone system, map task ids back. *)
-      let reduction = Clone.transform ts in
-      let cloned = Clone.cloned reduction in
-      let clone_platform = Clone.map_platform reduction platform in
-      let map_back clone_schedule =
-        check ~platform:clone_platform cloned clone_schedule;
-        let mapped = Clone.map_schedule reduction clone_schedule in
-        check_mapped ~platform ts mapped;
-        Feasible mapped
-      in
-      match static_pass ~platform:clone_platform cloned with
-      | `Decided (Feasible clone_schedule) -> map_back clone_schedule
-      | `Decided other -> other
-      | `Search domains -> (
-        match dispatch ~platform:clone_platform ?domains cloned with
-        | Feasible clone_schedule -> map_back clone_schedule
-        | (Infeasible | Limit | Memout _) as other -> other)
-    end
+    match r.Portfolio.verdict with
+    | Feasible schedule -> (
+      verified "verify" (fun () -> Verify.check ~platform:cplatform cts schedule);
+      match reduction with
+      | None -> r.Portfolio.verdict
+      | Some reduction ->
+        (* Clone-mapped schedules span the clone hyperperiod and serve the
+           original (possibly arbitrary-deadline) system: re-verify them
+           with the cyclic checker against the *original* task set — the
+           clone-level check alone would let a [Clone.map_schedule] bug
+           ship an invalid schedule. *)
+        let mapped = Clone.map_schedule reduction schedule in
+        verified "verify-mapped" (fun () -> Verify.check_cyclic ~platform ts mapped);
+        Feasible mapped)
+    | (Infeasible | Limit | Memout _) as other -> other
   in
-  (verdict, Timer.elapsed t0)
+  { r with Portfolio.verdict; time_s = Timer.elapsed t0 }
 
-(* Like {!solve} with [Csp2_opt], but through {!Csp2.Opt.solve_parallel}
-   with its knobs exposed, and returning the engine's counters (memo hits,
-   subtrees, steals) — [None] when the static pass decided alone. *)
-let solve_csp2_opt ?(heuristic = Csp2.Heuristic.DC) ?(budget = Timer.unlimited)
-    ?(verify = true) ?(analyze = true) ?memo_mb ?nogoods ?jobs ?split_depth ts ~m =
-  let platform = Platform.identical ~m in
-  let t0 = Timer.start () in
-  let fail_invalid v =
-    failwith
-      (Format.asprintf "Core.solve_csp2_opt: solver produced an invalid schedule: %a"
-         Verify.pp_violation v)
-  in
-  let check ~platform ts schedule =
-    if verify then
-      match Verify.check ~platform ts schedule with
-      | Ok () -> ()
-      | Error (v :: _) -> fail_invalid v
-      | Error [] -> assert false
-  in
-  (* [map_back] verifies what it returns (the cyclic checker on the
-     original task set for clone-mapped schedules); [check] covers the
-     clone-level schedule before mapping. *)
-  let run ~platform ~map_back cts =
-    match
-      Telemetry.with_span "static-pass" ~cat:"core" (fun () ->
-          static_pass ~analyze ~platform ~budget cts ~m)
-    with
-    | `Decided (Feasible schedule) ->
-      check ~platform cts schedule;
-      (Feasible (map_back schedule), Timer.elapsed t0, None)
-    | `Decided other -> (other, Timer.elapsed t0, None)
-    | `Search domains ->
-      let outcome, stats =
-        Telemetry.with_span
-          ("search:csp2-opt+" ^ Csp2.Heuristic.to_string heuristic)
-          ~cat:"core"
-          (fun () ->
-            Csp2.Opt.solve_parallel ~heuristic ~budget ?domains ?memo_mb ?nogoods ?jobs
-              ?split_depth cts ~m)
-      in
-      let verdict =
-        match outcome with
-        | Feasible schedule ->
-          check ~platform cts schedule;
-          Feasible (map_back schedule)
-        | (Infeasible | Limit | Memout _) as other -> other
-      in
-      (verdict, Timer.elapsed t0, Some stats)
-  in
-  if Taskset.is_constrained ts then run ~platform ~map_back:Fun.id ts
-  else begin
-    let reduction = Clone.transform ts in
-    let clone_platform = Clone.map_platform reduction platform in
-    let map_back clone_schedule =
-      let mapped = Clone.map_schedule reduction clone_schedule in
-      (if verify then
-         Telemetry.with_span "verify-mapped" ~cat:"core" (fun () ->
-             match Verify.check_cyclic ~platform ts mapped with
-             | Ok () -> ()
-             | Error (v :: _) -> fail_invalid v
-             | Error [] -> assert false));
-      mapped
-    in
-    run ~platform:clone_platform ~map_back (Clone.cloned reduction)
-  end
+let solve ?solver ?platform ?budget ?seed ?verify ?analyze ts ~m =
+  let r = run ?solver ?platform ?budget ?seed ?verify ?analyze ts ~m in
+  (r.Portfolio.verdict, r.Portfolio.time_s)
+
+(* The constrained system the static pass sees: the input itself, or its
+   clone system for arbitrary deadlines — the reduction preserves
+   feasibility, so facts about the clone system hold for the original. *)
+let constrained ts = if Taskset.is_constrained ts then ts else Clone.cloned (Clone.transform ts)
 
 let analyze ?work_budget ts ~m =
-  if Taskset.is_constrained ts then (Analysis.analyze ?work_budget ts ~m, ts)
-  else begin
-    let cloned = Clone.cloned (Clone.transform ts) in
-    (Analysis.analyze ?work_budget cloned ~m, cloned)
-  end
+  let cts = constrained ts in
+  (Analysis.analyze ?work_budget cts ~m, cts)
 
 let feasible ?solver ?budget ts ~m =
   match fst (solve ?solver ?budget ts ~m) with
   | Feasible _ -> Some true
   | Infeasible -> Some false
   | Limit | Memout _ -> None
-
-let solve_portfolio ?specs ?jobs ?(budget = Timer.unlimited) ?(seed = 0) ?(verify = true)
-    ?analyze ?stall_beats ts ~m =
-  let platform = Platform.identical ~m in
-  let fail_invalid v =
-    failwith
-      (Format.asprintf "Core.solve_portfolio: solver produced an invalid schedule: %a"
-         Verify.pp_violation v)
-  in
-  let check ~platform ts schedule =
-    if verify then
-      match Verify.check ~platform ts schedule with
-      | Ok () -> ()
-      | Error (v :: _) -> fail_invalid v
-      | Error [] -> assert false
-  in
-  if Taskset.is_constrained ts then begin
-    let r = Portfolio.solve ?specs ?jobs ~budget ~seed ?analyze ?stall_beats ts ~m in
-    (match r.Portfolio.verdict with
-     | Feasible schedule -> check ~platform ts schedule
-     | Infeasible | Limit | Memout _ -> ());
-    r
-  end
-  else begin
-    let reduction = Clone.transform ts in
-    let cloned = Clone.cloned reduction in
-    let clone_platform = Clone.map_platform reduction platform in
-    let r = Portfolio.solve ?specs ?jobs ~budget ~seed ?analyze ?stall_beats cloned ~m in
-    match r.Portfolio.verdict with
-    | Feasible clone_schedule ->
-      check ~platform:clone_platform cloned clone_schedule;
-      let mapped = Clone.map_schedule reduction clone_schedule in
-      (if verify then
-         match Verify.check_cyclic ~platform ts mapped with
-         | Ok () -> ()
-         | Error (v :: _) -> fail_invalid v
-         | Error [] -> assert false);
-      { r with Portfolio.verdict = Feasible mapped }
-    | Infeasible | Limit | Memout _ -> r
-  end
 
 type min_processors_outcome = Minproc.min_processors_outcome =
   | Exact of int
@@ -324,15 +240,9 @@ type min_processors_outcome = Minproc.min_processors_outcome =
 let min_processors ?solver ?(budget_per_m = None) ?max_m ?(analyze = true) ts =
   let max_m = match max_m with Some v -> v | None -> Taskset.size ts in
   (* The analyzer's m-independent lower bound (computed once, on the
-     constrained clone system for arbitrary deadlines — the reduction
-     preserves feasibility, so a bound for the clone bounds the original)
-     lets the scan skip candidate counts no schedule can use. *)
-  let start =
-    if not analyze then 1
-    else
-      let cts = if Taskset.is_constrained ts then ts else Clone.cloned (Clone.transform ts) in
-      Analysis.m_lower_bound cts
-  in
+     constrained system) lets the scan skip candidate counts no schedule
+     can use. *)
+  let start = if analyze then Analysis.m_lower_bound (constrained ts) else 1 in
   let solve_m ~m =
     let budget = match budget_per_m with Some b -> b | None -> Timer.unlimited in
     match fst (solve ?solver ~budget ~analyze ts ~m) with

@@ -31,13 +31,13 @@ type solver =
   | Csp2_opt of Csp2.Heuristic.t
       (** {!Csp2.Opt}: the dedicated search with packed eligibility
           bitsets, state-dominance memoization and the aggregate capacity
-          bound — sequential here; {!solve_csp2_opt} adds the
-          subtree-splitting knobs and the engine counters.  Falls back to
-          {!Csp2.Het} on heterogeneous platforms, like [Csp2_dedicated]. *)
+          bound — sequential unless {!run} gets [jobs > 1], which splits
+          subtrees across domains.  Falls back to {!Csp2.Het} on
+          heterogeneous platforms, like [Csp2_dedicated]. *)
   | Local_search  (** Min-conflicts (future work #1); cannot prove infeasibility. *)
-  | Portfolio of int
-      (** Race the {!Portfolio.default_specs} backends on the given number
-          of domains; first decisive verdict wins, losers are cancelled. *)
+  | Portfolio
+      (** Race the {!Portfolio.default_specs} backends on {!run}'s [jobs]
+          domains; first decisive verdict wins, losers are cancelled. *)
 
 val default_solver : solver
 (** [Csp2_dedicated DC] — the paper's overall winner. *)
@@ -48,19 +48,53 @@ val solver_of_string : string -> solver option
 (** Inverse of {!solver_name}'s CLI spellings (case-insensitive): [csp1],
     [csp1-sat]/[sat], [csp2-generic], [csp2], [csp2+rm/dm/tc/dc],
     [csp2-opt]/[opt] (also [+rm/dm/tc/dc]), [local]/[local-search],
-    [portfolio].  [Portfolio] carries a placeholder job count of 0 —
-    callers substitute their own.  Shared by the CLI converter and the
-    serve protocol so the two front ends accept the same names. *)
+    [portfolio].  [solver_of_string (solver_name s) = Some s] for every
+    solver.  Shared by the CLI converter and the serve protocol so the
+    two front ends accept the same names. *)
 
 val all_solvers : solver list
-(** One of each family (D−C heuristic for the dedicated path, four jobs
-    for the portfolio). *)
+(** One of each family (D−C heuristic for the dedicated paths). *)
 
 type verdict = Encodings.Outcome.t =
   | Feasible of Rt_model.Schedule.t
   | Infeasible
   | Limit
   | Memout of string
+
+val run :
+  ?solver:solver ->
+  ?platform:Rt_model.Platform.t ->
+  ?budget:Prelude.Timer.budget ->
+  ?seed:int ->
+  ?verify:bool ->
+  ?analyze:bool ->
+  ?jobs:int ->
+  ?memo_mb:int ->
+  ?nogoods:bool ->
+  ?split_depth:int ->
+  ?stall_beats:float ->
+  Rt_model.Taskset.t ->
+  m:int ->
+  Portfolio.result
+(** The solve pipeline every entry point goes through: clone transform
+    for arbitrary deadlines, static pass, engine, schedule verification,
+    map back, verification of the mapped schedule.  Returns the verdict,
+    the wall-clock seconds of the whole pipeline, the winner and one
+    {!Portfolio.backend_stats} per engine or arm that ran — the
+    {!Portfolio.analysis_arm_name} entry first whenever the static pass
+    ran, then the engine's (a single entry, or every arm of the race).
+    The winner is the entry whose verdict was decisive, [None] when
+    nothing decided.  {!Portfolio.summary} renders the result as one
+    line.
+
+    [solver], [platform], [budget], [seed], [verify] and [analyze] behave
+    as documented at {!solve}.  The engine settings: [jobs] is the domain
+    count of the [Portfolio] race (default
+    {!Prelude.Parallel.recommended_jobs}) and, above 1, turns [Csp2_opt]
+    into {!Csp2.Opt.solve_parallel} with [split_depth]; [memo_mb] and
+    [nogoods] tune [Csp2_opt] ({!Csp2.Opt.solve}); [stall_beats] the
+    race's stall watchdog ({!Portfolio.solve}).  Settings a solver does
+    not use are ignored. *)
 
 val solve :
   ?solver:solver ->
@@ -73,15 +107,18 @@ val solve :
   m:int ->
   verdict * float
 (** Decide feasibility; returns the verdict and the wall-clock seconds
-    spent.  [verify] (default true) re-checks any produced schedule against
-    {!Rt_model.Verify} and raises [Failure] on a solver bug — schedules you
-    receive are guaranteed feasible.
+    spent — {!run} projected to [(verdict, time_s)].  [verify] (default
+    true) re-checks any produced schedule against {!Rt_model.Verify} and
+    raises [Failure] on a solver bug — schedules you receive are
+    guaranteed feasible.
 
     [analyze] (default true) runs the {!Analysis} static pass first on
     identical platforms: a certified refutation or a statically built
     schedule returns without any search (so even [Local_search] can report
     [Infeasible] through this path), and otherwise the pruned domains are
-    fed to the chosen backend.  [analyze:false] restores the bare backend.
+    fed to the chosen backend.  [Portfolio] runs the pass itself, as the
+    race's supervised arm 0 capped at half the remaining wall clock.
+    [analyze:false] restores the bare backend.
 
     Arbitrary-deadline task sets are transparently reduced with the clone
     transform (Section VI-B); the returned schedule then spans the clone
@@ -105,7 +142,7 @@ val dispatch :
   Rt_model.Taskset.t ->
   m:int ->
   verdict
-(** The bare backend dispatch used by {!solve}: no static pass, no clone
+(** The bare backend dispatch used by {!run}: no static pass, no clone
     transform, no schedule verification — constrained-deadline task sets
     only.  Exposed for callers (and tests) that need to pin the exact
     backend behavior.  [seed] only feeds the randomized backends; the
@@ -116,48 +153,6 @@ val dispatch :
     [Csp2_dedicated]/[Csp2_opt] fall back to {!Csp2.Het}, which rejects
     [domains] — pruned domains are derived assuming identical unit-speed
     processors and would be unsound on any other machine. *)
-
-val solve_csp2_opt :
-  ?heuristic:Csp2.Heuristic.t ->
-  ?budget:Prelude.Timer.budget ->
-  ?verify:bool ->
-  ?analyze:bool ->
-  ?memo_mb:int ->
-  ?nogoods:bool ->
-  ?jobs:int ->
-  ?split_depth:int ->
-  Rt_model.Taskset.t ->
-  m:int ->
-  verdict * float * Csp2.Opt.stats option
-(** {!solve} specialized to the optimized engine via
-    {!Csp2.Opt.solve_parallel}, exposing its knobs ([memo_mb] caps the
-    combined memo + nogood tables, [nogoods] toggles dominance-nogood
-    learning, [jobs]/[split_depth] control subtree splitting) and
-    returning the engine's counters — nodes, memo and nogood
-    hits/misses/stores, subtrees, steals — or [None] when the static
-    pass decided without any search.  Identical platforms only (built
-    from [m]); the clone transform and schedule verification behave
-    exactly as in {!solve}. *)
-
-val solve_portfolio :
-  ?specs:Portfolio.spec list ->
-  ?jobs:int ->
-  ?budget:Prelude.Timer.budget ->
-  ?seed:int ->
-  ?verify:bool ->
-  ?analyze:bool ->
-  ?stall_beats:float ->
-  Rt_model.Taskset.t ->
-  m:int ->
-  Portfolio.result
-(** Like [solve ~solver:(Portfolio jobs)] but returns the full race result
-    — per-backend outcome, node/fail counts, times and the winner — for
-    callers that report statistics ({!Portfolio.summary} renders it as one
-    line).  The static analyzer runs as arm 0 of the race unless
-    [analyze:false] (see {!Portfolio.solve}); [stall_beats] tunes (or,
-    with a non-positive value, disables) the stall watchdog.  Applies the
-    same clone transform and schedule verification as {!solve}; identical
-    platforms only. *)
 
 val analyze :
   ?work_budget:int -> Rt_model.Taskset.t -> m:int -> Analysis.report * Rt_model.Taskset.t

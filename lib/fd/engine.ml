@@ -23,8 +23,8 @@ type t = {
   mutable props : prop list;
   mutable nprops : int;
   queue : int Queue.t;
-  queued : Bool_vec.t;
   mutable prop_by_id : prop option array;
+  mutable queued : bool array;  (* [pid] is in [queue]; grown with [prop_by_id] *)
   mutable trail : trail_entry list;
   mutable marks : int list;  (* trail depth at each level entry *)
   mutable trail_len : int;
@@ -41,8 +41,8 @@ let create ?(var_budget = 2_000_000) () =
     props = [];
     nprops = 0;
     queue = Queue.create ();
-    queued = Bool_vec.create ();
     prop_by_id = Array.make 16 None;
+    queued = Array.make 16 false;
     trail = [];
     marks = [];
     trail_len = 0;
@@ -100,8 +100,8 @@ let values v = List.map (fun b -> v.lo + b) (Bitset.elements v.dom)
 let enqueue_watchers t v =
   List.iter
     (fun pid ->
-      if not (Bool_vec.get t.queued pid) then begin
-        Bool_vec.set t.queued pid true;
+      if not t.queued.(pid) then begin
+        t.queued.(pid) <- true;
         Queue.add pid t.queue
       end)
     v.wake
@@ -162,11 +162,19 @@ let remove_above t v bound =
   end
 
 let grow_prop_by_id t =
-  if t.nprops >= Array.length t.prop_by_id then begin
-    let bigger = Array.make (2 * Array.length t.prop_by_id) None in
-    Array.blit t.prop_by_id 0 bigger 0 (Array.length t.prop_by_id);
-    t.prop_by_id <- bigger
+  let cap = Array.length t.prop_by_id in
+  if t.nprops >= cap then begin
+    let bigger = Array.make (2 * cap) None in
+    Array.blit t.prop_by_id 0 bigger 0 cap;
+    t.prop_by_id <- bigger;
+    let queued = Array.make (2 * cap) false in
+    Array.blit t.queued 0 queued 0 cap;
+    t.queued <- queued
   end
+
+let clear_queue t =
+  Queue.clear t.queue;
+  Array.fill t.queued 0 (Array.length t.queued) false
 
 let propagate t =
   if t.failed then false
@@ -174,7 +182,7 @@ let propagate t =
     let ok = ref true in
     while !ok && not (Queue.is_empty t.queue) do
       let pid = Queue.pop t.queue in
-      Bool_vec.set t.queued pid false;
+      t.queued.(pid) <- false;
       match t.prop_by_id.(pid) with
       | None -> ()
       | Some p ->
@@ -186,10 +194,7 @@ let propagate t =
           ok := false
         end
     done;
-    if not !ok then begin
-      Queue.clear t.queue;
-      Bool_vec.clear t.queued
-    end;
+    if not !ok then clear_queue t;
     !ok
   end
 
@@ -206,8 +211,7 @@ let post t ~name ~wake ~propagate:run =
   else if not (run ()) then begin
     bump_scope p;
     t.failed <- true;
-    Queue.clear t.queue;
-    Bool_vec.clear t.queued;
+    clear_queue t;
     false
   end
   else propagate t
@@ -232,8 +236,7 @@ let backtrack t =
     t.marks <- rest;
     t.level <- t.level - 1;
     t.failed <- false;
-    Queue.clear t.queue;
-    Bool_vec.clear t.queued
+    clear_queue t
 
 let unassigned_count t =
   List.fold_left (fun acc v -> if is_assigned v then acc else acc + 1) 0 t.vars

@@ -53,9 +53,9 @@ type result = {
 
 (* The unified {!Telemetry.Stats} view of each backend's native stats:
    SAT decisions/conflicts and local-search iterations/restarts play the
-   roles of nodes/fails.  [memo_mb] only reaches the optimized engine —
-   the degradation retry runs it with a reduced table. *)
-let run_spec spec ~budget ~seed ?memo_mb ?domains ts ~m =
+   roles of nodes/fails.  [memo_mb] and [nogoods] only reach the
+   optimized engine — the degradation retry runs it with a reduced table. *)
+let run_spec spec ~budget ~seed ?memo_mb ?nogoods ?domains ts ~m =
   let backend = spec_name spec in
   match spec with
   | Csp2 heuristic ->
@@ -64,7 +64,7 @@ let run_spec spec ~budget ~seed ?memo_mb ?domains ts ~m =
   | Csp2_opt heuristic ->
     (* Sequential engine on purpose: each arm owns one domain already, so
        subtree splitting inside an arm would oversubscribe the race. *)
-    let outcome, st = Csp2.Opt.solve ~heuristic ~budget ?memo_mb ?domains ts ~m in
+    let outcome, st = Csp2.Opt.solve ~heuristic ~budget ?memo_mb ?nogoods ?domains ts ~m in
     (outcome, Csp2.Opt.to_stats ~backend st)
   | Csp1_sat ->
     let outcome, st = Encodings.Csp1_sat.solve ~budget ~seed ?domains ts ~m in
@@ -79,6 +79,31 @@ let run_spec spec ~budget ~seed ?memo_mb ?domains ts ~m =
     (outcome, Localsearch.Min_conflicts.to_stats ~backend st)
 
 let analysis_arm_name = "static-analysis"
+
+(* The analyzer's report as an arm: a refutation or a statically built
+   schedule wins outright; a pruned pass reports [Limit], with
+   nodes/fails counting the statically forced/blocked cells. *)
+let analysis_arm (report : Analysis.report) =
+  let entry outcome ~forced ~blocked =
+    {
+      name = analysis_arm_name;
+      outcome = Some outcome;
+      stats =
+        Telemetry.Stats.make ~backend:analysis_arm_name ~nodes:forced ~fails:blocked
+          ~time_s:report.Analysis.time_s ();
+      winner = Encodings.Outcome.is_decided outcome;
+      status = Ran;
+    }
+  in
+  match report.Analysis.verdict with
+  | Analysis.Infeasible _ -> `Decided (entry Encodings.Outcome.Infeasible ~forced:0 ~blocked:0)
+  | Analysis.Trivially_feasible sched ->
+    `Decided (entry (Encodings.Outcome.Feasible sched) ~forced:0 ~blocked:0)
+  | Analysis.Pruned d ->
+    `Pruned
+      ( d,
+        entry Encodings.Outcome.Limit ~forced:(Analysis.Domains.forced_cells d)
+          ~blocked:(Analysis.Domains.blocked_cells d) )
 
 (* A queued unit of race work.  Originals occupy report slots [0..n-1] in
    spec order; the (at most one) retry of the arm in slot [i] reports in
@@ -138,34 +163,9 @@ let solve ?(specs = default_specs) ?jobs ?(budget = Timer.unlimited) ?(seed = 0)
                 status = Crashed (Resilience.Supervise.crash_message crash);
               } )
       | Ok report -> (
-        (* For this arm, nodes/fails report what the analysis produced:
-           statically forced cells and statically blocked cells. *)
-        let entry outcome winner ~forced ~blocked =
-          {
-            name = analysis_arm_name;
-            outcome = Some outcome;
-            stats =
-              Telemetry.Stats.make ~backend:analysis_arm_name ~nodes:forced ~fails:blocked
-                ~time_s:report.Analysis.time_s ();
-            winner;
-            status = Ran;
-          }
-        in
-        match report.Analysis.verdict with
-        | Analysis.Infeasible _ ->
-          `Decided
-            ( Encodings.Outcome.Infeasible,
-              entry Encodings.Outcome.Infeasible true ~forced:0 ~blocked:0 )
-        | Analysis.Trivially_feasible sched ->
-          let o = Encodings.Outcome.Feasible sched in
-          `Decided (o, entry o true ~forced:0 ~blocked:0)
-        | Analysis.Pruned d ->
-          `Race
-            ( Some d,
-              Some
-                (entry Encodings.Outcome.Limit false
-                   ~forced:(Analysis.Domains.forced_cells d)
-                   ~blocked:(Analysis.Domains.blocked_cells d)) )))
+        match analysis_arm report with
+        | `Decided arm0 -> `Decided arm0
+        | `Pruned (d, arm0) -> `Race (Some d, Some arm0)))
   in
   let never_started i =
     let name = spec_name specs.(i) in
@@ -178,9 +178,9 @@ let solve ?(specs = default_specs) ?jobs ?(budget = Timer.unlimited) ?(seed = 0)
     }
   in
   match pre with
-  | `Decided (verdict, arm0) ->
+  | `Decided arm0 ->
     {
-      verdict;
+      verdict = Option.get arm0.outcome;
       winner = Some arm0.name;
       time_s = Timer.elapsed race_t0;
       backends = arm0 :: List.init n never_started;
@@ -364,7 +364,7 @@ let solve ?(specs = default_specs) ?jobs ?(budget = Timer.unlimited) ?(seed = 0)
   in
   { verdict; winner = winner_name; time_s = Timer.elapsed race_t0; backends }
 
-let summary r =
+let summary ~label r =
   let outcome_tag = function
     | Encodings.Outcome.Feasible _ -> "feasible"
     | Encodings.Outcome.Infeasible -> "infeasible"
@@ -384,7 +384,7 @@ let summary r =
           b.name (if b.winner then "*" else "") (outcome_tag o)
           (Telemetry.Stats.summary b.stats) stalled)
   in
-  Printf.sprintf "portfolio: %s in %.4fs (winner %s) | %s"
+  Printf.sprintf "%s: %s in %.4fs (winner %s) | %s" label
     (outcome_tag r.verdict) r.time_s
     (match r.winner with Some w -> w | None -> "none")
     (String.concat " | " (List.map backend r.backends))

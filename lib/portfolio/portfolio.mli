@@ -152,8 +152,35 @@ val solve :
     fingerprint that does not match the instance.
     @raise All_arms_crashed when every arm that ran crashed. *)
 
-val summary : result -> string
-(** One line: overall verdict, wall time, winner, then per-arm
-    [name outcome] followed by {!Telemetry.Stats.summary} cells ([*] marks
-    the winner, [-] an arm that never started, [!crashed(exn)] a contained
-    crash, [~stalled] a watchdog cancellation). *)
+val run_spec :
+  spec ->
+  budget:Prelude.Timer.budget ->
+  seed:int ->
+  ?memo_mb:int ->
+  ?nogoods:bool ->
+  ?domains:Analysis.Domains.t ->
+  Rt_model.Taskset.t ->
+  m:int ->
+  Encodings.Outcome.t * Telemetry.Stats.t
+(** Run one backend sequentially, unsupervised, and return its verdict
+    with its counters in the unified {!Telemetry.Stats} view (the stats
+    [backend] is {!spec_name}).  [memo_mb] and [nogoods] only reach
+    [Csp2_opt]; [seed] only the randomized backends.  This is the engine
+    table both the race and {!Core.run} dispatch through. *)
+
+val analysis_arm :
+  Analysis.report ->
+  [ `Decided of backend_stats | `Pruned of Analysis.Domains.t * backend_stats ]
+(** The analyzer's report as the {!analysis_arm_name} entry: a
+    refutation or a statically built schedule is [`Decided] (the entry is
+    the winner and carries the verdict); otherwise the pruned domains and
+    a non-decisive [Limit] entry whose [nodes]/[fails] count statically
+    forced/blocked cells. *)
+
+val summary : label:string -> result -> string
+(** One line: [label] (the solver's name), overall verdict, wall time,
+    winner, then per-arm [name outcome] followed by
+    {!Telemetry.Stats.summary} cells ([*] marks the winner, [-] an arm
+    that never started, [!crashed(exn)] a contained crash, [~stalled] a
+    watchdog cancellation).  Renders {!Core.run}'s result for every
+    solver, not only races. *)

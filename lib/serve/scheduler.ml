@@ -186,29 +186,21 @@ let run t (req : Proto.solve_request) =
       in
       let nodes = match req.Proto.nodes with Some _ as n -> n | None -> t.config.default_nodes in
       let budget = Prelude.Timer.budget ~wall_s ?nodes () in
-      let solver =
-        match (match req.Proto.solver with Some s -> s | None -> t.config.default_solver) with
-        | Core.Portfolio _ -> Core.Portfolio t.config.jobs_per_request
-        | s -> s
+      let solver = Option.value req.Proto.solver ~default:t.config.default_solver in
+      let { Portfolio.verdict; time_s; winner; backends } =
+        Core.run ~solver ~budget ~seed:req.Proto.seed ~jobs:t.config.jobs_per_request
+          ~stall_beats:t.config.stall_beats ts ~m
       in
-      let verdict, time_s, winner, stats =
-        match solver with
-        | Core.Portfolio jobs ->
-          let r =
-            Core.solve_portfolio ~jobs ~budget ~seed:req.Proto.seed
-              ~stall_beats:t.config.stall_beats ts ~m
-          in
-          let winner_stats =
-            match
-              List.find_opt (fun (b : Portfolio.backend_stats) -> b.winner) r.Portfolio.backends
-            with
-            | Some b -> Some b.Portfolio.stats
-            | None -> None
-          in
-          (r.Portfolio.verdict, r.Portfolio.time_s, r.Portfolio.winner, winner_stats)
-        | s ->
-          let v, time_s = Core.solve ~solver:s ~budget ~seed:req.Proto.seed ts ~m in
-          (v, time_s, None, None)
+      (* The deciding arm's counters; for an undecided solve, the last arm
+         that ran (the engine itself, on a single-engine path). *)
+      let stats =
+        let ran =
+          List.filter (fun (b : Portfolio.backend_stats) -> Option.is_some b.outcome) backends
+        in
+        match (List.find_opt (fun (b : Portfolio.backend_stats) -> b.winner) ran, List.rev ran)
+        with
+        | Some b, _ | None, b :: _ -> Some b.stats
+        | None, [] -> None
       in
       let solver_name = Some (Core.solver_name solver) in
       (match verdict with

@@ -6,7 +6,7 @@
     Sharding: with [Prelude.Parallel.recommended_jobs ()] cores available,
     the pool runs [workers] concurrent requests and hands each request
     [jobs_per_request] domains of intra-solve parallelism (portfolio
-    races), so concurrent tenants split the machine instead of each
+    races, csp2-opt subtree splitting), so concurrent tenants split the machine instead of each
     grabbing all of it.
 
     Admission control: {!handle_line} rejects a solve request outright
@@ -25,7 +25,7 @@
 
 type config = {
   workers : int;  (** Concurrent requests in flight. *)
-  jobs_per_request : int;  (** Domains each portfolio solve may use. *)
+  jobs_per_request : int;  (** Domains each solve may use ({!Core.run}'s [jobs]). *)
   queue_capacity : int;  (** Admission bound; beyond it, code 6. *)
   default_wall_s : float;  (** Wall budget when the request names none. *)
   max_wall_s : float;  (** Hard per-request clamp, tenant-proof. *)

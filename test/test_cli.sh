@@ -25,6 +25,12 @@ expect() {
 }
 
 expect 0 "decided solve" solve "$EXAMPLE" -m 2 --quiet
+# Every solver family goes through the same solve path.
+for solver in csp1 csp1-sat csp2-generic csp2 csp2+rm csp2-opt local-search portfolio; do
+  expect 0 "decided solve ($solver)" solve "$EXAMPLE" -m 2 --quiet --solver "$solver"
+done
+expect 0 "decided solve (csp2-opt, split)" \
+  solve "$EXAMPLE" -m 2 --quiet --solver csp2-opt --jobs 2 --split-depth 1
 expect 3 "m = 0" solve "$EXAMPLE" -m 0
 expect 3 "malformed task set" solve "$MALFORMED" -m 2
 

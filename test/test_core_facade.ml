@@ -45,6 +45,15 @@ let test_solver_names () =
   Alcotest.(check string) "csp1" "csp1" (Core.solver_name Core.Csp1_generic);
   Alcotest.(check string) "sat" "csp1-sat" (Core.solver_name Core.Csp1_sat)
 
+let test_solver_name_round_trip () =
+  (* Every name the library prints — serve responses echo it in their
+     "solver" field — must parse back to the same solver. *)
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (Core.solver_name s) true
+        (Core.solver_of_string (Core.solver_name s) = Some s))
+    Core.all_solvers
+
 let test_platform_mismatch_rejected () =
   let platform = Platform.identical ~m:3 in
   Alcotest.(check bool) "raises" true
@@ -124,20 +133,22 @@ let prop_opt_clone_agreement =
       Encodings.Outcome.agree a b
       && (match b with Core.Feasible _ | Core.Infeasible -> true | _ -> false))
 
-let test_solve_csp2_opt_facade () =
-  (* The stats-bearing entry point: counters when the engine searched,
-     [None] when the static pass decided, and parallel knobs accepted. *)
-  (match Core.solve_csp2_opt ~analyze:false ~jobs:2 ~split_depth:1 running ~m:2 with
-  | Core.Feasible sched, _, Some stats ->
+let test_run_csp2_opt_stats () =
+  (* The engine's counters when it searched, only the analyzer's entry
+     when the static pass decided, and the parallel knobs accepted. *)
+  let solver = Core.Csp2_opt Csp2.Heuristic.DC in
+  let r = Core.run ~solver ~analyze:false ~jobs:2 ~split_depth:1 running ~m:2 in
+  (match (r.Portfolio.verdict, r.Portfolio.backends) with
+  | Core.Feasible sched, [ b ] ->
     Alcotest.(check bool) "verified" true (Verify.is_feasible running sched);
-    Alcotest.(check bool) "searched" true (stats.Csp2.Opt.nodes > 0)
-  | (Core.Feasible _ | Core.Infeasible | Core.Limit | Core.Memout _), _, _ ->
+    Alcotest.(check bool) "searched" true (b.Portfolio.stats.Telemetry.Stats.nodes > 0)
+  | (Core.Feasible _ | Core.Infeasible | Core.Limit | Core.Memout _), _ ->
     Alcotest.fail "running example is feasible on m=2 with search stats");
-  match Core.solve_csp2_opt running ~m:1 with
-  | Core.Infeasible, _, None -> ()
-  | Core.Infeasible, _, Some _ ->
-    Alcotest.fail "static pass should decide m=1 without search"
-  | (Core.Feasible _ | Core.Limit | Core.Memout _), _, _ ->
+  let r = Core.run ~solver running ~m:1 in
+  match (r.Portfolio.verdict, r.Portfolio.backends) with
+  | Core.Infeasible, [ b ] when b.Portfolio.name = Portfolio.analysis_arm_name -> ()
+  | Core.Infeasible, _ -> Alcotest.fail "static pass should decide m=1 without search"
+  | (Core.Feasible _ | Core.Limit | Core.Memout _), _ ->
     Alcotest.fail "running example is infeasible on m=1"
 
 let test_dispatch_het_domains_rejected () =
@@ -171,14 +182,25 @@ let prop_mapped_schedules_reverify =
   (* Pins the re-verification bugfix from the outside: with the facade's
      own verify guard off, every mapped-back schedule returned for a D>T
      system must still pass the cyclic checker against the {e original}
-     task set — the mapping itself is sound, not merely unchecked. *)
-  qtest ~count:30 "clone-mapped schedules re-verify against the original task set"
-    (Test_util.loose_taskset_gen ~nmax:3 ~tmax:3 ())
-    (fun ts ->
+     task set — the mapping itself is sound, not merely unchecked.  The
+     solver is an input: the default engine, csp2-opt with subtree
+     splitting and the portfolio race all map back through one pipeline. *)
+  qtest ~count:60 "clone-mapped schedules re-verify against the original task set"
+    QCheck2.Gen.(
+      pair
+        (Test_util.loose_taskset_gen ~nmax:3 ~tmax:3 ())
+        (oneofl
+           [
+             (Core.default_solver, None);
+             (Core.Csp2_opt Csp2.Heuristic.DC, Some 2);
+             (Core.Portfolio, None);
+           ]))
+    (fun (ts, (solver, jobs)) ->
       let m = 2 in
-      match Core.solve ~verify:false ~budget:(Prelude.Timer.budget ~wall_s:2.0 ()) ts ~m with
-      | Core.Feasible sched, _ -> Verify.check_cyclic ts sched = Ok ()
-      | (Core.Infeasible | Core.Limit | Core.Memout _), _ -> true)
+      let budget = Prelude.Timer.budget ~wall_s:2.0 () in
+      match (Core.run ~solver ?jobs ~verify:false ~budget ts ~m).Portfolio.verdict with
+      | Core.Feasible sched -> Verify.check_cyclic ts sched = Ok ()
+      | Core.Infeasible | Core.Limit | Core.Memout _ -> true)
 
 let test_min_processors () =
   Alcotest.(check bool) "running example" true
@@ -265,6 +287,7 @@ let () =
             test_complete_solvers_prove_infeasibility;
           Alcotest.test_case "feasible helper" `Quick test_feasible_helper;
           Alcotest.test_case "solver names" `Quick test_solver_names;
+          Alcotest.test_case "solver name round-trip" `Quick test_solver_name_round_trip;
           Alcotest.test_case "platform mismatch" `Quick test_platform_mismatch_rejected;
           Alcotest.test_case "sat rejects heterogeneous" `Quick test_sat_rejects_heterogeneous;
           Alcotest.test_case "analyze facade" `Quick test_analyze_facade;
@@ -275,7 +298,7 @@ let () =
             test_opt_heterogeneous_fallback;
           Alcotest.test_case "dispatch rejects het + domains" `Quick
             test_dispatch_het_domains_rejected;
-          Alcotest.test_case "solve_csp2_opt stats" `Quick test_solve_csp2_opt_facade;
+          Alcotest.test_case "run csp2-opt stats" `Quick test_run_csp2_opt_stats;
         ] );
       ( "arbitrary deadlines",
         [

@@ -168,7 +168,7 @@ let test_no_winner_is_limit () =
 
 let test_summary_line () =
   let r = P.solve running ~m:2 in
-  let s = P.summary r in
+  let s = P.summary ~label:"portfolio" r in
   let contains needle =
     let nl = String.length needle and hl = String.length s in
     let rec go i = i + nl <= hl && (String.sub s i nl = needle || go (i + 1)) in
@@ -212,23 +212,30 @@ let test_invalid_args () =
 (* Core facade                                                          *)
 
 let test_core_portfolio_solver () =
-  (match Core.solve ~solver:(Core.Portfolio 4) running ~m:2 with
+  (match Core.solve ~solver:Core.Portfolio running ~m:2 with
   | Core.Feasible _, _ -> ()
   | (Core.Infeasible | Core.Limit | Core.Memout _), _ -> Alcotest.fail "feasible on m=2");
-  match Core.solve ~solver:(Core.Portfolio 4) running ~m:1 with
+  match Core.solve ~solver:Core.Portfolio running ~m:1 with
   | Core.Infeasible, _ -> ()
   | (Core.Feasible _ | Core.Limit | Core.Memout _), _ -> Alcotest.fail "infeasible on m=1"
 
-let test_core_solve_portfolio_arbitrary_deadlines () =
+let test_core_run_portfolio_arbitrary_deadlines () =
   (* D > T forces the clone transform; the facade verifies the winning
      clone schedule and maps it back to original task ids. *)
   let ts = Examples.arbitrary_deadline in
-  let r = Core.solve_portfolio ts ~m:2 in
+  let r = Core.run ~solver:Core.Portfolio ts ~m:2 in
   match r.P.verdict with
   | O.Feasible sched ->
     let clone_hp = Taskset.hyperperiod (Clone.cloned (Clone.transform ts)) in
     check Alcotest.int "horizon is the clone hyperperiod" clone_hp (Schedule.horizon sched)
   | O.Infeasible | O.Limit | O.Memout _ -> Alcotest.fail "arbitrary-deadline example is feasible"
+
+let test_core_run_lists_analysis_arm () =
+  (* The race runs the static pass as its own arm 0; the facade reports it
+     like every other arm. *)
+  let r = Core.run ~solver:Core.Portfolio running ~m:2 in
+  Alcotest.(check bool) "static-analysis arm listed" true
+    (List.exists (fun (b : P.backend_stats) -> b.name = P.analysis_arm_name) r.P.backends)
 
 let prop_agrees_with_sat =
   qtest ~count:30 "portfolio verdict = CSP1/SAT on random instances"
@@ -262,7 +269,9 @@ let () =
         [
           Alcotest.test_case "Core.Portfolio solver" `Quick test_core_portfolio_solver;
           Alcotest.test_case "clone transform" `Quick
-            test_core_solve_portfolio_arbitrary_deadlines;
+            test_core_run_portfolio_arbitrary_deadlines;
+          Alcotest.test_case "Core.run lists the analyzer arm" `Quick
+            test_core_run_lists_analysis_arm;
           prop_agrees_with_sat;
         ] );
     ]

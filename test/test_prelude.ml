@@ -337,7 +337,7 @@ let prop_ibits_model =
       && Prelude.Ibits.is_empty set = (!model = []))
 
 (* ------------------------------------------------------------------ *)
-(* Ascii_table, Welford, Bool_vec, Timer                                *)
+(* Ascii_table, Welford, Timer                                          *)
 
 let contains haystack needle =
   let nl = String.length needle and hl = String.length haystack in
@@ -363,14 +363,6 @@ let test_welford () =
   Alcotest.(check (float 1e-9)) "variance" (32. /. 7.) (Prelude.Welford.variance w);
   Alcotest.(check (float 1e-9)) "min" 2.0 (Prelude.Welford.min w);
   Alcotest.(check (float 1e-9)) "max" 9.0 (Prelude.Welford.max w)
-
-let test_bool_vec () =
-  let v = Prelude.Bool_vec.create () in
-  Alcotest.(check bool) "unset" false (Prelude.Bool_vec.get v 1000);
-  Prelude.Bool_vec.set v 1000 true;
-  Alcotest.(check bool) "set" true (Prelude.Bool_vec.get v 1000);
-  Prelude.Bool_vec.clear v;
-  Alcotest.(check bool) "cleared" false (Prelude.Bool_vec.get v 1000)
 
 let test_prng_copy () =
   let a = Prng.create ~seed:13 in
@@ -764,7 +756,6 @@ let () =
         [
           Alcotest.test_case "ascii table" `Quick test_ascii_table;
           Alcotest.test_case "welford" `Quick test_welford;
-          Alcotest.test_case "bool_vec" `Quick test_bool_vec;
           Alcotest.test_case "budget" `Quick test_budget;
           Alcotest.test_case "budget cancel" `Quick test_budget_cancel;
           Alcotest.test_case "with_stop composes" `Quick test_with_stop_composes;
