@@ -30,11 +30,17 @@ type budget = { mutable left : int; mutable notes : string list; wall : Timer.bu
 
 let wall_note = "analysis stopped early: wall budget exhausted"
 
-let spend b cost ~note =
+(* The wall-clock poll: false, with the note recorded once, when the
+   wall budget is spent or cancelled. *)
+let wall_ok b =
   if Timer.cancelled b.wall || Timer.exceeded b.wall ~nodes:0 then begin
     if not (List.mem wall_note b.notes) then b.notes <- wall_note :: b.notes;
     false
   end
+  else true
+
+let spend b cost ~note =
+  if not (wall_ok b) then false
   else if cost <= b.left then begin
     b.left <- b.left - cost;
     true
@@ -192,129 +198,111 @@ let supply_bound ts windows =
   search 1
 
 (* ------------------------------------------------------------------ *)
-(* Interval demand-bound tests.  Candidate intervals are the cyclic
-   [start, start+len) whose endpoints are window boundaries (release
-   instants and absolute deadlines folded mod T) — the only places where
-   a job's forced contribution max(0, C − slots outside) changes.       *)
+(* Interval demand-bound sweep.  Candidate intervals are the cyclic
+   [start, start+len) that start at a release instant and end at an
+   absolute deadline (both folded mod T) — the only places where a job's
+   forced contribution max(0, C − usable slots outside) changes.
 
-let boundary_points ts windows =
-  let horizon = Windows.horizon windows in
-  let starts = Array.make horizon false and ends = Array.make horizon false in
+   For a fixed start the sweep walks the slots start, start+1, … once,
+   counting per job its usable slots [inside] the growing interval.  With
+   slack = usable − C, the job's forced demand is max(0, inside − slack):
+   it grows by exactly one each time [inside] passes the slack, so the
+   demand of every interval is kept in O(1) per usable cell and read off
+   at each deadline boundary — O(starts × (cells + T)) for the sweep.    *)
+
+let boundary_points windows =
+  let ts = Windows.taskset windows and horizon = Windows.horizon windows in
+  let is_start = Bytes.make horizon '\000' and is_end = Bytes.make horizon '\000' in
   Array.iter
     (fun (job : Windows.job) ->
       let task = Taskset.task ts job.task in
-      starts.(Intmath.imod job.release horizon) <- true;
-      ends.(Intmath.imod (job.release + task.deadline) horizon) <- true)
+      Bytes.set is_start (Intmath.imod job.release horizon) '\001';
+      Bytes.set is_end (Intmath.imod (job.release + task.deadline) horizon) '\001')
     (Windows.jobs windows);
-  let collect flags =
-    let acc = ref [] in
-    for s = horizon - 1 downto 0 do
-      if flags.(s) then acc := s :: !acc
-    done;
-    !acc
+  let starts = ref [] in
+  for s = horizon - 1 downto 0 do
+    if Bytes.get is_start s = '\001' then starts := s :: !starts
+  done;
+  (!starts, is_end)
+
+(* The sweep over the cells [usable task slot], whose per-job counts are
+   [usable_count].  Priced whole before any table is built: it either runs
+   to the end (bar the per-start wall poll) or is skipped with a note.
+   Returns the max lower bound ⌈demand/len⌉ (at least 1) and, when
+   [detect_m] is given, the first interval — lowest start, then lowest end
+   — whose forced demand exceeds m·len. *)
+let sweep windows budget ~name ~usable ~usable_count ?detect_m () =
+  let horizon = Windows.horizon windows and jobs = Windows.jobs windows in
+  let starts, is_end = boundary_points windows in
+  let cells = Array.fold_left ( + ) 0 usable_count in
+  let cost = List.length starts * (cells + horizon) in
+  let note =
+    Printf.sprintf "%s skipped: cost %d exceeds remaining work budget %d" name cost budget.left
   in
-  (collect starts, collect ends)
-
-let overlap a b c d = Int.max 0 (Int.min b d - Int.max a c)
-
-(* Pristine slots of [job] inside the cyclic interval, in O(1): both the
-   window [r, r+D) and the interval live in [0, 2T), so three interval
-   copies (shifted by −T, 0, +T) cover every cyclic intersection. *)
-let pristine_inside ~horizon ~release ~deadline ~start ~len =
-  let r2 = release + deadline in
-  overlap release r2 (start - horizon) (start + len - horizon)
-  + overlap release r2 start (start + len)
-  + overlap release r2 (start + horizon) (start + len + horizon)
-
-(* Sweep all candidate intervals on the pristine windows.  Returns the max
-   lower bound ⌈demand/len⌉ and, when [detect_m] is given, the first
-   interval whose forced demand exceeds m·len. *)
-let pristine_interval_scan ts windows budget ?detect_m () =
-  let horizon = Windows.horizon windows in
-  let jobs = Windows.jobs windows in
-  let wcet = Array.map (fun (j : Windows.job) -> (Taskset.task ts j.task).wcet) jobs in
-  let deadline = Array.map (fun (j : Windows.job) -> (Taskset.task ts j.task).deadline) jobs in
-  let starts, ends = boundary_points ts windows in
-  let per_start = List.length ends * Array.length jobs in
-  let bound = ref 1 in
-  let hit = ref None in
-  (try
-     List.iter
-       (fun start ->
-         if
-           not
-             (spend budget per_start
-                ~note:"interval pass truncated: work budget exhausted mid-sweep")
-         then raise Exit;
-         List.iter
-           (fun e ->
-             let len = Intmath.imod (e - start) horizon in
-             (* len = 0 would be the full hyperperiod: that is exactly the
-                utilization test, already run. *)
-             if len > 0 then begin
-               let demand = ref 0 in
-               Array.iteri
-                 (fun g (job : Windows.job) ->
-                   let inside =
-                     pristine_inside ~horizon ~release:job.release ~deadline:deadline.(g)
-                       ~start ~len
-                   in
-                   demand := !demand + Int.max 0 (wcet.(g) - (deadline.(g) - inside)))
-                 jobs;
-               if !demand > 0 then bound := Int.max !bound (Intmath.cdiv !demand len);
-               match detect_m with
-               | Some m when !hit = None && !demand > m * len ->
-                 hit := Some (start, len, !demand)
-               | _ -> ()
-             end)
-           ends)
-       starts
-   with Exit -> ());
+  let bound = ref 1 and hit = ref None in
+  if spend budget cost ~note then begin
+    (* Usable cells by slot, as job ids: slot s owns [first.(s), first.(s+1)). *)
+    let first = Array.make (horizon + 1) 0 and cell_job = Array.make cells 0 in
+    let each_cell f =
+      Array.iteri
+        (fun g (j : Windows.job) -> Array.iter (fun s -> if usable j.task s then f g s) j.slots)
+        jobs
+    in
+    each_cell (fun _ s -> first.(s) <- first.(s) + 1);
+    for s = 1 to horizon do
+      first.(s) <- first.(s) + first.(s - 1)
+    done;
+    each_cell (fun g s ->
+        first.(s) <- first.(s) - 1;
+        cell_job.(first.(s)) <- g);
+    let wcet (j : Windows.job) = (Taskset.task (Windows.taskset windows) j.task).wcet in
+    let slack = Array.mapi (fun g j -> usable_count.(g) - wcet j) jobs in
+    (* Jobs left with fewer usable slots than C owe the difference anywhere. *)
+    let owed = Array.fold_left (fun acc sl -> acc + Int.max 0 (-sl)) 0 slack in
+    let inside = Array.make (Array.length jobs) 0 in
+    try
+      List.iter
+        (fun start ->
+          if not (wall_ok budget) then raise Exit;
+          Array.fill inside 0 (Array.length inside) 0;
+          let demand = ref owed and found = ref None in
+          for len = 1 to horizon - 1 do
+            let s = (start + len - 1) mod horizon in
+            for c = first.(s) to first.(s + 1) - 1 do
+              let g = cell_job.(c) in
+              if inside.(g) >= slack.(g) then incr demand;
+              inside.(g) <- inside.(g) + 1
+            done;
+            let e = (s + 1) mod horizon in
+            if Bytes.get is_end e = '\001' && !demand > 0 then begin
+              bound := Int.max !bound (Intmath.cdiv !demand len);
+              match (detect_m, !found) with
+              | Some m, None when !demand > m * len -> found := Some (start, len, !demand)
+              | Some m, Some (_, l, _) when !demand > m * len && e < (start + l) mod horizon ->
+                found := Some (start, len, !demand)
+              | _ -> ()
+            end
+          done;
+          if !hit = None then hit := !found)
+        starts
+    with Exit -> ()
+  end;
   (!bound, !hit)
 
-(* Same detection on the post-fixpoint windows (needed once saturation has
-   blocked cells: demand can only grow, so this subsumes the pristine
-   detection).  Per-job counts scan the window slots, mirroring
-   Certificate.validate exactly. *)
-let post_interval_scan fx budget =
-  let horizon = fx.horizon in
-  let jobs = Windows.jobs fx.windows in
-  let wcet = Array.map (fun (j : Windows.job) -> (Taskset.task fx.ts j.task).wcet) jobs in
-  let starts, ends = boundary_points fx.ts fx.windows in
-  let window_cells = Array.fold_left (fun acc (j : Windows.job) -> acc + Array.length j.slots) 0 jobs in
-  let per_start = List.length ends * window_cells in
-  let hit = ref None in
-  (try
-     List.iter
-       (fun start ->
-         if
-           not
-             (spend budget per_start
-                ~note:"post-fixpoint interval pass truncated: work budget exhausted mid-sweep")
-         then raise Exit;
-         List.iter
-           (fun e ->
-             let len = Intmath.imod (e - start) horizon in
-             if len > 0 && !hit = None then begin
-               let demand = ref 0 in
-               Array.iteri
-                 (fun g (job : Windows.job) ->
-                   let inside = ref 0 and total = ref 0 in
-                   Array.iter
-                     (fun s ->
-                       if fx.allowed.(job.task).(s) then begin
-                         incr total;
-                         if Intmath.imod (s - start) horizon < len then incr inside
-                       end)
-                     job.slots;
-                   demand := !demand + Int.max 0 (wcet.(g) - (!total - !inside)))
-                 jobs;
-               if !demand > fx.m * len then hit := Some (start, len, !demand)
-             end)
-           ends)
-       starts
-   with Exit -> ());
-  !hit
+let pristine_sweep windows budget ?detect_m () =
+  let usable_count =
+    Array.map (fun (j : Windows.job) -> Array.length j.slots) (Windows.jobs windows)
+  in
+  sweep windows budget ~name:"interval sweep" ~usable:(fun _ _ -> true) ~usable_count ?detect_m ()
+
+let interval_sweep windows ~usable ~m =
+  let count (j : Windows.job) =
+    Array.fold_left (fun n s -> if usable j.task s then n + 1 else n) 0 j.slots
+  in
+  let budget = { left = max_int; notes = []; wall = Timer.unlimited } in
+  sweep windows budget ~name:"interval sweep" ~usable
+    ~usable_count:(Array.map count (Windows.jobs windows))
+    ~detect_m:m ()
 
 (* ------------------------------------------------------------------ *)
 (* Post-fixpoint per-slot availability and supply.                      *)
@@ -370,29 +358,71 @@ let try_partition fx budget =
     if not !fits then None
     else begin
       let rem = Array.map (fun (j : Windows.job) -> (Taskset.task ts j.task).wcet) jobs in
+      let due =
+        Array.map (fun (j : Windows.job) -> j.release + (Taskset.task ts j.task).deadline) jobs
+      in
+      (* EDF key (absolute deadline, task, index): job ids follow (task,
+         index) order, so ties fall back to the id. *)
+      let before a b = due.(a) < due.(b) || (due.(a) = due.(b) && a < b) in
+      (* Each processor's jobs in release order. *)
+      let by_release = Array.init (Array.length jobs) Fun.id in
+      Array.stable_sort (fun a b -> Int.compare jobs.(a).release jobs.(b).release) by_release;
+      let mine = Array.make m [] in
+      for k = Array.length by_release - 1 downto 0 do
+        let g = by_release.(k) in
+        let p = assign.(jobs.(g).task) in
+        mine.(p) <- g :: mine.(p)
+      done;
+      (* Binary min-heap of released jobs; finished and expired ones are
+         dropped lazily from the top. *)
+      let heap = Array.make (Array.length jobs) 0 and size = ref 0 in
+      let swap i j =
+        let x = heap.(i) in
+        heap.(i) <- heap.(j);
+        heap.(j) <- x
+      in
+      let rec up i =
+        let parent = (i - 1) / 2 in
+        if i > 0 && before heap.(i) heap.(parent) then begin
+          swap i parent;
+          up parent
+        end
+      in
+      let rec down i =
+        let l = (2 * i) + 1 in
+        let c = if l + 1 < !size && before heap.(l + 1) heap.(l) then l + 1 else l in
+        if c < !size && before heap.(c) heap.(i) then begin
+          swap i c;
+          down c
+        end
+      in
+      let pending = ref [] in
+      let rec release x =
+        match !pending with
+        | g :: rest when jobs.(g).release <= x ->
+          pending := rest;
+          heap.(!size) <- g;
+          incr size;
+          up (!size - 1);
+          release x
+        | _ -> ()
+      in
       let sched = Schedule.create ~m ~horizon in
       for proc = 0 to m - 1 do
-        let mine =
-          Array.to_list jobs |> List.filter (fun (j : Windows.job) -> assign.(j.task) = proc)
-        in
+        pending := mine.(proc);
+        size := 0;
         for x = 0 to (2 * horizon) - 1 do
+          release x;
+          while !size > 0 && (rem.(heap.(0)) = 0 || due.(heap.(0)) <= x) do
+            decr size;
+            heap.(0) <- heap.(!size);
+            down 0
+          done;
           let t = Intmath.imod x horizon in
-          if Schedule.get sched ~proc ~time:t = Schedule.idle then begin
-            let best = ref None in
-            List.iter
-              (fun (j : Windows.job) ->
-                let d = (Taskset.task ts j.task).deadline in
-                let g = Windows.global_index fx.windows ~task:j.task ~index:j.index in
-                if rem.(g) > 0 && j.release <= x && x < j.release + d then
-                  match !best with
-                  | Some (key, _) when key <= (j.release + d, j.task, j.index) -> ()
-                  | _ -> best := Some ((j.release + d, j.task, j.index), g))
-              mine;
-            match !best with
-            | Some ((_, task, _), g) ->
-              Schedule.set sched ~proc ~time:t task;
-              rem.(g) <- rem.(g) - 1
-            | None -> ()
+          if !size > 0 && Schedule.get sched ~proc ~time:t = Schedule.idle then begin
+            let g = heap.(0) in
+            Schedule.set sched ~proc ~time:t jobs.(g).task;
+            rem.(g) <- rem.(g) - 1
           end
         done
       done;
@@ -475,14 +505,19 @@ let analyze ?(work_budget = default_work_budget) ?(wall = Timer.unlimited) ts ~m
             (Infeasible (certificate fx (Certificate.Supply_shortfall { demand; supply = cap })))
         else begin
           (* Pristine sweep: lower bounds always; direct detection doubles
-             as the certificate source while no cell is blocked. *)
+             as the certificate source while no cell is blocked.  Once
+             saturation has blocked cells, demand can only grow, so the
+             post-fixpoint sweep subsumes the pristine detection. *)
           let detect_m = if fx.blocked_cells = 0 then Some m else None in
-          let bound, pristine_hit = pristine_interval_scan ts windows budget ?detect_m () in
+          let bound, pristine_hit = pristine_sweep windows budget ?detect_m () in
           m_low := Int.max !m_low bound;
           let hit =
-            match pristine_hit with
-            | Some _ -> pristine_hit
-            | None -> if fx.blocked_cells > 0 then post_interval_scan fx budget else None
+            if fx.blocked_cells = 0 then pristine_hit
+            else
+              snd
+                (sweep windows budget ~name:"post-fixpoint interval sweep"
+                   ~usable:(fun task s -> fx.allowed.(task).(s))
+                   ~usable_count:fx.allowed_count ~detect_m:m ())
           in
           match hit with
           | Some (start, len, demand) ->
@@ -510,7 +545,7 @@ let m_lower_bound ?(work_budget = default_work_budget) ts =
   if not (spend budget (window_work ts) ~note:"") then u_bound
   else begin
     let windows = Windows.build ts in
-    let bound, _ = pristine_interval_scan ts windows budget () in
+    let bound, _ = pristine_sweep windows budget () in
     Int.max
       (Int.max u_bound (zero_laxity_bound ts windows))
       (Int.max (supply_bound ts windows) bound)

@@ -29,9 +29,14 @@
       [[t1, t2)], the demand jobs are forced to place inside
       ([Σ max(0, C − usable slots outside)]) vs the supply [m·(t2−t1)].
 
-    Window-based passes cost [O(n·T + Σ T/T_i·D_i)] plus the interval
-    enumeration; passes whose cost would exceed [work_budget] are skipped
-    and {e reported} in {!report.skipped} — never silently dropped.
+    Window-based passes cost [O(n·T + Σ T/T_i·D_i)].  The interval tests
+    are one sweep per release instant over the usable window cells,
+    [O(starts × (cells + T))] in all; it is run once on the pristine
+    windows (the [m] lower bound) and, when saturation blocked cells, once
+    more on the post-fixpoint windows.  Every pass is priced whole before
+    it builds anything: one whose cost exceeds the remaining [work_budget]
+    is skipped and {e reported} in {!report.skipped} — never silently
+    dropped or cut off midway.
 
     Identical platforms and constrained-deadline task sets only: reduce
     arbitrary deadlines with {!Rt_model.Clone} first (as {!Core.solve}
@@ -77,6 +82,17 @@ val m_lower_bound : ?work_budget:int -> Rt_model.Taskset.t -> int
     [⌈U⌉]; [n + 1] when the set is provably infeasible on any number of
     processors.
     @raise Invalid_argument on non-constrained-deadline task sets. *)
+
+val interval_sweep :
+  Rt_model.Windows.t -> usable:(int -> int -> bool) -> m:int -> int * (int * int * int) option
+(** [interval_sweep windows ~usable ~m] runs the interval demand-bound
+    sweep alone, without a budget, over the window cells [(task, slot)]
+    for which [usable task slot] holds.  A job's forced demand in an
+    interval is [max 0 (C − usable slots outside it)].  Returns the max
+    [⌈demand/len⌉] over the candidate intervals (at least 1) and the first
+    [(start, len, demand)] — lowest start, then lowest end — whose demand
+    exceeds [m·len].  Candidates are the cyclic [[start, start+len)],
+    [0 < len < T], from a release instant to an absolute deadline. *)
 
 val utilization_exceeds : Rt_model.Taskset.t -> m:int -> bool
 (** The paper's [r > 1] filter, computed exactly (no float rounding) —

@@ -12,6 +12,7 @@ type totals = {
   dead_slots : int;
   m_lower_raised : int;
   window_cells : int;
+  truncated : int;
   analysis_time_s : float;
   nodes_bare : int;
   nodes_pruned : int;
@@ -31,6 +32,7 @@ let empty =
     dead_slots = 0;
     m_lower_raised = 0;
     window_cells = 0;
+    truncated = 0;
     analysis_time_s = 0.;
     nodes_bare = 0;
     nodes_pruned = 0;
@@ -60,6 +62,7 @@ let run ?(progress = fun _ -> ()) (config : Config.t) =
           t with
           old_filter_refuted = t.old_filter_refuted + Bool.to_int old_hit;
           analysis_time_s = t.analysis_time_s +. report.Analysis.time_s;
+          truncated = t.truncated + Bool.to_int (report.Analysis.skipped <> []);
           m_lower_raised =
             (t.m_lower_raised
             + Bool.to_int (report.Analysis.m_lower > Taskset.min_processors ts));
@@ -123,6 +126,7 @@ let render t =
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   line "Static pre-pass over %d generated instances (%.3fs of analysis total):" t.instances
     t.analysis_time_s;
+  line "  truncated analyses        %4d  (a pass skipped for budget)" t.truncated;
   line "  refuted statically        %4d  (old r>1 filter alone: %d)" t.static_refuted
     t.old_filter_refuted;
   line "  certificates re-validated %4d  (of %d refutations)" t.certificates_valid

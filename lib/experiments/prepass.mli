@@ -19,6 +19,7 @@ type totals = {
   dead_slots : int;
   m_lower_raised : int;  (** Instances with [m_lower] strictly above ⌈U⌉. *)
   window_cells : int;  (** Total (job, window-slot) cells of pruned instances. *)
+  truncated : int;  (** Reports with a non-empty [skipped]: some pass did not run. *)
   analysis_time_s : float;
   nodes_bare : int;  (** CSP2 nodes without domains, over compared instances. *)
   nodes_pruned : int;  (** CSP2 nodes with domains, same instances. *)

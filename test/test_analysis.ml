@@ -14,6 +14,11 @@ let analyze ?work_budget ts ~m = A.analyze ?work_budget ts ~m
 
 let validate ts ~m cert = A.Certificate.validate ts (Platform.identical ~m) cert
 
+let contains s sub =
+  let n = String.length s and k = String.length sub in
+  let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
+  k = 0 || go 0
+
 let infeasible_cert name report =
   match report.A.verdict with
   | A.Infeasible cert -> cert
@@ -166,6 +171,33 @@ let test_wall_budget_skip_is_reported () =
   let report = A.analyze ~wall:cancelled ts ~m:2 in
   Alcotest.(check bool) "cancelled budget also skips" true (report.A.skipped <> [])
 
+(* A work budget that covers the window passes but not the interval sweep:
+   the sweep is priced whole and skipped with a note naming it, and
+   [m_lower] falls back to the windows-only bound.  On [interval_trap],
+   n·T + Σ (T/T_i)·D_i = 4·12 + (8 + 5 + 2 + 1) = 64 units pays for the
+   window tables and leaves nothing; ⌈U⌉, the zero-laxity peak and the
+   supply bound are all 1, while the skipped sweep would have raised the
+   bound to 2 (see [test_interval_demand]). *)
+let test_sweep_priced_against_budget () =
+  let report = analyze ~work_budget:64 interval_trap ~m:1 in
+  (match report.A.verdict with
+  | A.Pruned _ -> ()
+  | _ -> Alcotest.fail "a skipped sweep must leave the verdict inconclusive");
+  Alcotest.(check bool) "skip names the interval sweep" true
+    (List.exists (fun note -> contains note "interval sweep") report.A.skipped);
+  check Alcotest.int "windows-only m_lower" 1 report.A.m_lower
+
+(* With default budgets the analyzer runs every pass to the end on the
+   paper's Table I regime (n = 10, m = 5, Tmax = 7). *)
+let test_table1_stream_untruncated () =
+  let params = Gen.Generator.default ~n:10 ~m:(Gen.Generator.Fixed_m 5) ~tmax:7 in
+  Array.iteri
+    (fun i (ts, m) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "instance %d: nothing skipped" i)
+        [] (A.analyze ts ~m).A.skipped)
+    (Gen.Generator.batch ~seed:1 ~count:20 params)
+
 let test_rejects_bad_arguments () =
   Alcotest.check_raises "m = 0"
     (Invalid_argument "Analysis.analyze: m must be >= 1") (fun () ->
@@ -209,11 +241,6 @@ let test_corrupted_certificates_rejected () =
   in
   Alcotest.(check bool) "fabricated overload" false
     (validate Examples.running_example ~m:2 fake)
-
-let contains s sub =
-  let n = String.length s and k = String.length sub in
-  let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
-  k = 0 || go 0
 
 let test_certificate_pp () =
   let cert = infeasible_cert "interval trap" (analyze interval_trap ~m:1) in
@@ -296,6 +323,105 @@ let prop_localsearch_respects_domains =
         | _ -> true)
       | A.Infeasible _ | A.Trivially_feasible _ -> true)
 
+(* Test-only reference for the interval sweep: the direct enumeration
+   of every (release start, deadline end) pair, counting each job's usable
+   slots inside the cyclic interval as Certificate.validate does.
+   Returns the max ⌈demand/len⌉ (at least 1) and whether some interval's
+   forced demand exceeds m·len. *)
+let reference_demand windows ~usable ~start ~len =
+  let ts = Windows.taskset windows and horizon = Windows.horizon windows in
+  Array.fold_left
+    (fun acc (job : Windows.job) ->
+      let usable_in pred =
+        Array.fold_left
+          (fun n s -> if usable job.task s && pred s then n + 1 else n)
+          0 job.slots
+      in
+      let inside = usable_in (fun s -> Prelude.Intmath.imod (s - start) horizon < len) in
+      let outside = usable_in (fun _ -> true) - inside in
+      acc + Int.max 0 ((Taskset.task ts job.task).wcet - outside))
+    0 (Windows.jobs windows)
+
+let reference_interval_scan windows ~usable ~m =
+  let ts = Windows.taskset windows and horizon = Windows.horizon windows in
+  let points f =
+    List.sort_uniq Int.compare
+      (Array.to_list
+         (Array.map
+            (fun (job : Windows.job) -> Prelude.Intmath.imod (f job) horizon)
+            (Windows.jobs windows)))
+  in
+  let starts = points (fun job -> job.release) in
+  let ends = points (fun job -> job.release + (Taskset.task ts job.task).deadline) in
+  let bound = ref 1 and exceeds = ref false in
+  List.iter
+    (fun start ->
+      List.iter
+        (fun e ->
+          let len = Prelude.Intmath.imod (e - start) horizon in
+          if len > 0 then begin
+            let demand = reference_demand windows ~usable ~start ~len in
+            if demand > 0 then bound := Int.max !bound (Prelude.Intmath.cdiv demand len);
+            if demand > m * len then exceeds := true
+          end)
+        ends)
+    starts;
+  (!bound, !exceeds)
+
+let sweep_matches_reference windows ~usable ~m =
+  let bound, hit = A.interval_sweep windows ~usable ~m in
+  let ref_bound, ref_exceeds = reference_interval_scan windows ~usable ~m in
+  bound = ref_bound
+  && Option.is_some hit = ref_exceeds
+  &&
+  match hit with
+  | None -> true
+  | Some (start, len, demand) ->
+    demand = reference_demand windows ~usable ~start ~len && demand > m * len
+
+(* The sweep against the reference on the pristine windows, on the
+   post-fixpoint windows (in-window cells minus the blocked ones) and on
+   an arbitrary usable subset, where some jobs keep fewer slots than C. *)
+let prop_sweep_matches_reference =
+  qtest ~count:300 "interval sweep matches the direct enumeration"
+    QCheck2.Gen.(pair (Test_util.instance_gen ()) nat)
+    ~print:(fun (inst, salt) -> Printf.sprintf "%s salt=%d" (Test_util.print_instance inst) salt)
+    (fun ((ts, m), salt) ->
+      let windows = Windows.build ts in
+      let post =
+        match (A.analyze ~work_budget:max_int ts ~m).A.verdict with
+        | A.Pruned d -> fun task time -> not (A.Domains.is_blocked d ~task ~time)
+        | A.Infeasible _ | A.Trivially_feasible _ -> fun _ _ -> true
+      in
+      sweep_matches_reference windows ~usable:(fun _ _ -> true) ~m
+      && sweep_matches_reference windows ~usable:post ~m
+      && sweep_matches_reference windows
+           ~usable:(fun task time -> Hashtbl.hash (salt, task, time) mod 4 <> 0)
+           ~m)
+
+(* Every interval certificate the analyzer emits replays.  Instances come
+   from the paper's generator, in the Table I regime and two smaller ones
+   where saturation blocks cells before the post-fixpoint sweep refutes:
+   uniform random task sets almost never reach an interval refutation. *)
+let generator_instance_gen =
+  let open QCheck2.Gen in
+  oneofl [ (10, 5, 7); (6, 3, 6); (8, 4, 6) ] >>= fun (n, m, tmax) ->
+  int >>= fun seed ->
+  return
+    (Gen.Generator.generate (Prelude.Prng.create ~seed)
+       (Gen.Generator.default ~n ~m:(Gen.Generator.Fixed_m m) ~tmax))
+
+let prop_interval_certificates_validate =
+  qtest ~count:500 "interval-demand certificates re-validate" generator_instance_gen
+    ~print:Test_util.print_instance
+    (fun (ts, m) ->
+      match (A.analyze ~work_budget:max_int ts ~m).A.verdict with
+      | A.Infeasible ({ A.Certificate.steps; _ } as cert) -> (
+        match List.rev steps with
+        | A.Certificate.Interval_demand _ :: _ -> validate ts ~m cert
+        | _ -> true)
+      | A.Trivially_feasible _ | A.Pruned _ -> true)
+
 (* The m-independent lower bound never excludes a feasible processor
    count. *)
 let prop_m_lower_sound =
@@ -322,6 +448,9 @@ let () =
           Alcotest.test_case "trivially feasible" `Quick test_trivially_feasible;
           Alcotest.test_case "budget skip reported" `Quick test_budget_skip_is_reported;
           Alcotest.test_case "wall budget skip reported" `Quick test_wall_budget_skip_is_reported;
+          Alcotest.test_case "sweep priced against the budget" `Quick
+            test_sweep_priced_against_budget;
+          Alcotest.test_case "table I stream untruncated" `Quick test_table1_stream_untruncated;
           Alcotest.test_case "bad arguments" `Quick test_rejects_bad_arguments;
         ] );
       ( "certificates",
@@ -337,5 +466,7 @@ let () =
           prop_csp2_nodes_monotone;
           prop_localsearch_respects_domains;
           prop_m_lower_sound;
+          prop_sweep_matches_reference;
+          prop_interval_certificates_validate;
         ] );
     ]
