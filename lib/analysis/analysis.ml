@@ -20,7 +20,7 @@ let default_work_budget = 10_000_000
 
 let utilization_exceeds ts ~m =
   let num, den = Taskset.utilization_num_den ts in
-  num > m * den
+  Intmath.exceeds_product num m den
 
 (* ------------------------------------------------------------------ *)
 (* Work budget: every window-based pass draws from a shared pool and, on
@@ -260,6 +260,9 @@ let sweep windows budget ~name ~usable ~usable_count ?detect_m () =
     (* Jobs left with fewer usable slots than C owe the difference anywhere. *)
     let owed = Array.fold_left (fun acc sl -> acc + Int.max 0 (-sl)) 0 slack in
     let inside = Array.make (Array.length jobs) 0 in
+    (* The longest interval whose supply m·len fits an int; a longer one
+       supplies more than any demand. *)
+    let len_cap = match detect_m with Some m -> max_int / m | None -> 0 in
     try
       List.iter
         (fun start ->
@@ -277,8 +280,10 @@ let sweep windows budget ~name ~usable ~usable_count ?detect_m () =
             if Bytes.get is_end e = '\001' && !demand > 0 then begin
               bound := Int.max !bound (Intmath.cdiv !demand len);
               match (detect_m, !found) with
-              | Some m, None when !demand > m * len -> found := Some (start, len, !demand)
-              | Some m, Some (_, l, _) when !demand > m * len && e < (start + l) mod horizon ->
+              | Some m, None when len <= len_cap && !demand > m * len ->
+                found := Some (start, len, !demand)
+              | Some m, Some (_, l, _)
+                when len <= len_cap && !demand > m * len && e < (start + l) mod horizon ->
                 found := Some (start, len, !demand)
               | _ -> ()
             end
@@ -464,7 +469,7 @@ let analyze ?(work_budget = default_work_budget) ?(wall = Timer.unlimited) ts ~m
   in
   let num, den = Taskset.utilization_num_den ts in
   let u_bound = Intmath.cdiv num den in
-  if num > m * den then
+  if Intmath.exceeds_product num m den then
     finish ~m_lower:u_bound ~skipped:[]
       (Infeasible { Certificate.m; steps = [ Certificate.Utilization { demand = num; supply = m * den } ] })
   else begin

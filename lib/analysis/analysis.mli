@@ -70,8 +70,8 @@ val analyze :
 (** Run all passes.  [wall] (default {!Prelude.Timer.unlimited}) is polled
     at every budget checkpoint: once the wall clock runs out or the budget
     is cancelled, remaining passes are skipped and reported — so a caller
-    racing the analyzer against a deadline (the portfolio's arm 0) never
-    loses more than one checkpoint interval past its limit.
+    running the analyzer on a deadline ({!Core.run} passes its budget)
+    never loses more than one checkpoint interval past its limit.
     @raise Invalid_argument on non-constrained-deadline task sets or
     [m < 1]. *)
 
@@ -95,5 +95,7 @@ val interval_sweep :
     [0 < len < T], from a release instant to an absolute deadline. *)
 
 val utilization_exceeds : Rt_model.Taskset.t -> m:int -> bool
-(** The paper's [r > 1] filter, computed exactly (no float rounding) —
-    kept as a named fast path for the experiment tables' filter column. *)
+(** The paper's [r > 1] filter, computed exactly: no float rounding, and
+    no wrap-around when [m·T] does not fit an [int] (the answer is then
+    [false]).  The one copy shared by {!analyze}, the experiment tables'
+    filter column and serve's front door. *)

@@ -62,7 +62,7 @@ let check_step st step =
   match step with
   | Utilization { demand; supply } ->
     let num, den = Taskset.utilization_num_den st.ts in
-    demand = num && supply = st.m * den && demand > supply
+    demand = num && Intmath.exceeds_product demand st.m den && supply = st.m * den
   | Forced { task; k } -> (
     match job_of st ~task ~k with
     | None -> false
@@ -105,6 +105,7 @@ let check_step st step =
     demand = total && supply = !cap && supply < demand
   | Interval_demand { start; len; demand; supply } ->
     start >= 0 && start < horizon && len >= 1 && len <= horizon
+    && st.m <= max_int / len
     && supply = st.m * len
     &&
     let forced_demand =
@@ -135,7 +136,7 @@ let validate ts platform (cert : t) =
   match cert.steps with
   | [ Utilization { demand; supply } ] ->
     let num, den = Taskset.utilization_num_den ts in
-    demand = num && supply = cert.m * den && demand > supply
+    demand = num && Intmath.exceeds_product demand cert.m den && supply = cert.m * den
   | steps -> go steps
 
 let pp_step ppf = function

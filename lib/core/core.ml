@@ -67,8 +67,8 @@ type verdict = Encodings.Outcome.t =
 (* One engine run on a constrained-deadline system, as a race result: the
    portfolio's own, or a single arm.  The four engines the portfolio also
    races go through its table ({!Portfolio.run_spec}). *)
-let engine solver ~platform ~budget ~seed ~analyze ?jobs ?memo_mb ?nogoods ?split_depth
-    ?stall_beats ?domains ts ~m =
+let engine solver ~platform ~budget ~seed ?jobs ?memo_mb ?nogoods ?split_depth ?stall_beats
+    ?domains ts ~m =
   let identical = Platform.is_identical platform in
   let backend = solver_name solver in
   let require_identical name =
@@ -114,7 +114,7 @@ let engine solver ~platform ~budget ~seed ~analyze ?jobs ?memo_mb ?nogoods ?spli
   match solver with
   | Portfolio ->
     require_identical "Portfolio";
-    Portfolio.solve ?jobs ~budget ~seed ~analyze ?stall_beats ?domains ts ~m
+    Portfolio.solve ?jobs ~budget ~seed ?stall_beats ?domains ts ~m
   | Csp1_generic -> single (fd (Encodings.Csp1.solve ~platform ~budget ~seed ?domains ts ~m))
   | Csp2_generic -> single (fd (Encodings.Csp2_fd.solve ~platform ~budget ~seed ?domains ts ~m))
   | Csp1_sat ->
@@ -137,7 +137,45 @@ let engine solver ~platform ~budget ~seed ~analyze ?jobs ?memo_mb ?nogoods ?spli
     | _ -> single (spec (Portfolio.Csp2_opt heuristic)))
 
 let dispatch solver ~platform ~budget ~seed ?domains ts ~m =
-  (engine solver ~platform ~budget ~seed ~analyze:false ?domains ts ~m).Portfolio.verdict
+  (engine solver ~platform ~budget ~seed ?domains ts ~m).Portfolio.verdict
+
+(* The static pass, contained like a race arm and listed as the
+   {!Portfolio.analysis_arm_name} entry.  A refutation or a statically
+   built schedule is [`Decided]; a pruned pass hands the engine its
+   domains and reports [Limit], with nodes/fails counting the statically
+   forced/blocked cells; a crashed pass is recorded as [Crashed] and the
+   engine searches without pruned domains. *)
+let static_pass ~budget ts ~m =
+  let name = Portfolio.analysis_arm_name in
+  let entry ?outcome status stats =
+    let winner = Option.fold ~none:false ~some:Encodings.Outcome.is_decided outcome in
+    { Portfolio.name; outcome; stats; winner; status }
+  in
+  match
+    Resilience.Supervise.protect ~name (fun () ->
+        Telemetry.with_span name ~cat:"core" (fun () ->
+            Resilience.Failpoint.hit "core.static_pass";
+            Analysis.analyze ~wall:budget ts ~m))
+  with
+  | Error crash ->
+    let status = Portfolio.Crashed (Resilience.Supervise.crash_message crash) in
+    `Search (None, [ entry status (Telemetry.Stats.make ~backend:name ()) ])
+  | Ok report -> (
+    let ran outcome ~forced ~blocked =
+      entry ~outcome Portfolio.Ran
+        (Telemetry.Stats.make ~backend:name ~nodes:forced ~fails:blocked
+           ~time_s:report.Analysis.time_s ())
+    in
+    match report.Analysis.verdict with
+    | Analysis.Infeasible _ -> `Decided (ran Infeasible ~forced:0 ~blocked:0)
+    | Analysis.Trivially_feasible sched -> `Decided (ran (Feasible sched) ~forced:0 ~blocked:0)
+    | Analysis.Pruned d ->
+      `Search
+        ( Some d,
+          [
+            ran Limit ~forced:(Analysis.Domains.forced_cells d)
+              ~blocked:(Analysis.Domains.blocked_cells d);
+          ] ))
 
 let run ?(solver = default_solver) ?platform ?(budget = Timer.unlimited) ?(seed = 0)
     ?(verify = true) ?(analyze = true) ?jobs ?memo_mb ?nogoods ?split_depth ?stall_beats ts ~m =
@@ -164,18 +202,10 @@ let run ?(solver = default_solver) ?platform ?(budget = Timer.unlimited) ?(seed 
     | Some r -> (Clone.cloned r, Clone.map_platform r platform)
   in
   (* The static pass decides outright when it can, and otherwise hands the
-     engine its pruned domains.  The portfolio runs it itself, as its
-     supervised arm 0 capped at half the wall. *)
+     engine its pruned domains — the same way for every solver. *)
   let pre =
-    match solver with
-    | Portfolio -> `Search (None, [])
-    | _ ->
-      Telemetry.with_span "static-pass" ~cat:"core" (fun () ->
-          if not (analyze && Platform.is_identical cplatform) then `Search (None, [])
-          else
-            match Portfolio.analysis_arm (Analysis.analyze ~wall:budget cts ~m) with
-            | `Decided arm0 -> `Decided arm0
-            | `Pruned (d, arm0) -> `Search (Some d, [ arm0 ]))
+    if analyze && Platform.is_identical cplatform then static_pass ~budget cts ~m
+    else `Search (None, [])
   in
   let r =
     match pre with
@@ -189,8 +219,8 @@ let run ?(solver = default_solver) ?platform ?(budget = Timer.unlimited) ?(seed 
     | `Search (domains, arms) ->
       let r =
         Telemetry.with_span ("search:" ^ solver_name solver) ~cat:"core" (fun () ->
-            engine solver ~platform:cplatform ~budget ~seed ~analyze ?jobs ?memo_mb ?nogoods
-              ?split_depth ?stall_beats ?domains cts ~m)
+            engine solver ~platform:cplatform ~budget ~seed ?jobs ?memo_mb ?nogoods ?split_depth
+              ?stall_beats ?domains cts ~m)
       in
       { r with Portfolio.backends = arms @ r.Portfolio.backends }
   in
@@ -226,12 +256,6 @@ let analyze ?work_budget ts ~m =
   let cts = constrained ts in
   (Analysis.analyze ?work_budget cts ~m, cts)
 
-let feasible ?solver ?budget ts ~m =
-  match fst (solve ?solver ?budget ts ~m) with
-  | Feasible _ -> Some true
-  | Infeasible -> Some false
-  | Limit | Memout _ -> None
-
 type min_processors_outcome = Minproc.min_processors_outcome =
   | Exact of int
   | Inconclusive of { first_limit : int; feasible : int option }
@@ -251,15 +275,6 @@ let min_processors ?solver ?(budget_per_m = None) ?max_m ?(analyze = true) ts =
     | Limit | Memout _ -> `Undecided
   in
   Minproc.min_processors_feasible ~start ~solve:solve_m ts ~max_m
-
-let min_processors_exn ?solver ?budget_per_m ?max_m ts =
-  match min_processors ?solver ?budget_per_m ?max_m ts with
-  | Exact m -> Some m
-  | All_infeasible -> None
-  | Inconclusive { first_limit; _ } ->
-    invalid_arg
-      (Printf.sprintf
-         "Core.min_processors_exn: undecided at m=%d (raise the budget)" first_limit)
 
 (* ------------------------------------------------------------------ *)
 (* Typed top-level errors.
@@ -309,9 +324,3 @@ let error_exit_code = function
   | Invalid_input _ -> 3
   | Overflow _ -> 4
   | All_arms_crashed _ -> 5
-
-let solve_result ?solver ?platform ?budget ?seed ?verify ?analyze ts ~m =
-  match solve ?solver ?platform ?budget ?seed ?verify ?analyze ts ~m with
-  | v -> Ok v
-  | exception e -> (
-    match error_of_exn e with Some err -> Error err | None -> raise e)

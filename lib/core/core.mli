@@ -116,9 +116,12 @@ val solve :
     identical platforms: a certified refutation or a statically built
     schedule returns without any search (so even [Local_search] can report
     [Infeasible] through this path), and otherwise the pruned domains are
-    fed to the chosen backend.  [Portfolio] runs the pass itself, as the
-    race's supervised arm 0 capped at half the remaining wall clock.
-    [analyze:false] restores the bare backend.
+    fed to the chosen backend — every arm of the race, for [Portfolio].
+    The pass is the same for every solver: it runs once, on [budget],
+    inside {!Resilience.Supervise.protect}; a crash is listed as a
+    [Crashed] {!Portfolio.analysis_arm_name} entry and the engine then
+    searches without pruned domains.  [analyze:false] restores the bare
+    backend.
 
     Arbitrary-deadline task sets are transparently reduced with the clone
     transform (Section VI-B); the returned schedule then spans the clone
@@ -129,9 +132,6 @@ val solve :
     [Csp1_generic], [Csp2_generic] and the dedicated path (which switches
     to {!Csp2.Het}); [Csp1_sat] and [Local_search] raise
     [Invalid_argument] for them. *)
-
-val feasible : ?solver:solver -> ?budget:Prelude.Timer.budget -> Rt_model.Taskset.t -> m:int -> bool option
-(** [Some true]/[Some false] when decided, [None] on limit/memout. *)
 
 val dispatch :
   solver ->
@@ -180,13 +180,6 @@ val min_processors :
     verdict at some [m] no longer masquerades as infeasibility: the result
     degrades to {!Inconclusive} carrying the smallest undecided [m]. *)
 
-val min_processors_exn :
-  ?solver:solver -> ?budget_per_m:Prelude.Timer.budget option -> ?max_m:int ->
-  Rt_model.Taskset.t -> int option
-(** Convenience wrapper for unbudgeted use: [Some m] for {!Exact},
-    [None] for {!All_infeasible}.
-    @raise Invalid_argument on an {!Inconclusive} outcome. *)
-
 (** {1 Typed top-level errors}
 
     Bad input and resource exhaustion surface from the solver layers as a
@@ -194,10 +187,12 @@ val min_processors_exn :
     and parameters, {!Prelude.Intmath.Overflow} (or an [Invalid_argument]
     mentioning overflow, from [Taskset.of_tasks]) for hyperperiods that
     do not fit a native [int], and {!Portfolio.All_arms_crashed} when
-    containment ran out of arms.  {!solve_result} and {!error_of_exn}
-    classify them into a typed error a CLI or service can render —
-    [mgrts] maps them to distinct nonzero exit codes
-    ({!error_exit_code}). *)
+    containment ran out of arms.  {!error_of_exn} classifies them into a
+    typed error a CLI or service can render — [mgrts] maps them to
+    distinct nonzero exit codes ({!error_exit_code}).  Exceptions outside
+    the classification (solver soundness bugs reported as [Failure],
+    [Out_of_memory] on the unsupervised sequential paths) are left to
+    the caller. *)
 
 type error =
   | Invalid_input of string  (** Malformed task set or invalid parameter. *)
@@ -205,25 +200,10 @@ type error =
   | All_arms_crashed of (string * string) list
       (** Every portfolio arm crashed ([(arm, exception text)] pairs). *)
 
-val solve_result :
-  ?solver:solver ->
-  ?platform:Rt_model.Platform.t ->
-  ?budget:Prelude.Timer.budget ->
-  ?seed:int ->
-  ?verify:bool ->
-  ?analyze:bool ->
-  Rt_model.Taskset.t ->
-  m:int ->
-  (verdict * float, error) result
-(** {!solve} with the classified exceptions caught into [Error].
-    Exceptions outside the classification (solver soundness bugs reported
-    as [Failure], [Out_of_memory] on the unsupervised sequential paths)
-    still raise. *)
-
 val error_of_exn : exn -> error option
-(** The classifier behind {!solve_result}, exposed so other entry points
-    (the CLI wraps every subcommand, the serve daemon wraps every request)
-    can reuse it.  [Sys_error] — a missing or unreadable input file — is
+(** The classifier: [Some error] for the exceptions above, [None] for
+    any other.  The CLI wraps every subcommand in it, the serve daemon
+    every request.  [Sys_error] — a missing or unreadable input file — is
     classified as [Invalid_input]: file I/O problems are the caller's bad
     input, not a solver failure. *)
 

@@ -114,7 +114,7 @@ let portfolio ?jobs () =
     name;
     run =
       (fun ts ~m ~budget ~seed ->
-        (Portfolio.solve ?jobs ~budget ~seed ts ~m).Portfolio.verdict);
+        (Core.run ~solver:Core.Portfolio ?jobs ~budget ~seed ts ~m).Portfolio.verdict);
   }
 
 type run = {

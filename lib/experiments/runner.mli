@@ -45,8 +45,9 @@ val csp2_opt : ?nogoods:bool -> ?memo_mb:int -> unit -> solver
 val local_search : solver
 
 val portfolio : ?jobs:int -> unit -> solver
-(** The Domains-based parallel race over {!Portfolio.default_specs};
-    [jobs] defaults to the machine's recommended domain count.  Lets the
+(** The Domains-based parallel race over {!Portfolio.default_specs},
+    through {!Core.run} so the static pass runs first; [jobs] defaults to
+    the machine's recommended domain count.  Lets the
     table reproductions report a portfolio column next to the sequential
     backends it races. *)
 

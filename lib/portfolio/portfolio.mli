@@ -15,8 +15,12 @@
     promptly.  [Limit]/[Memout] arms are never winners: a local-search arm
     that gives up does not stop a complete solver mid-proof.
 
-    {b Supervision} (see DESIGN.md §9): every arm — the analyzer
-    included — runs inside a containment wrapper
+    The race is pure: it runs no static pass of its own.  {!Core.run}
+    runs the analyzer once, in front of every solver, and hands the race
+    its pruned domains ([?domains]).
+
+    {b Supervision} (see DESIGN.md §9): every arm runs inside a
+    containment wrapper
     ({!Resilience.Supervise.protect}).  A crash ([Out_of_memory] while
     growing a memo, a [Stack_overflow] in a deep subtree, any solver
     bug) is recorded as that arm's {!arm_status} and the race continues;
@@ -52,13 +56,17 @@ type spec =
 val spec_name : spec -> string
 
 val analysis_arm_name : string
-(** ["static-analysis"], the reported name of the analyzer arm. *)
+(** ["static-analysis"]: the name {!Core.run} gives its static pass, both
+    as the first {!backend_stats} entry of its result and as the pass's
+    telemetry span. *)
 
 val default_specs : spec list
 (** [csp2-opt+D-C, csp2+RM, csp1-sat, local-search, csp2+DM, csp2+T-C,
     csp2+D-C] — most complementary strategies first, so truncating to the
     first [jobs] arms keeps the strongest mix; the classic (memo-free) D−C
-    engine rides at the tail as a cross-check arm. *)
+    engine rides at the tail as a cross-check arm.  All arms search the
+    same [?domains]; the static pass that computes them runs before the
+    race, in {!Core.run}, and is not an arm. *)
 
 type arm_status =
   | Ran  (** Completed normally (its [outcome] says how). *)
@@ -91,7 +99,7 @@ type backend_stats = {
 exception All_arms_crashed of (string * string) list
 (** Every search arm that ran (retries included) crashed: no arm was even
     cut short by a budget, so there is no honest [Limit] to report.  The
-    payload lists [(arm name, exception text)] per crash.  {!Core.solve_result}
+    payload lists [(arm name, exception text)] per crash.  {!Core.error_of_exn}
     maps this to a typed error and [mgrts] to a dedicated exit code. *)
 
 type result = {
@@ -99,12 +107,12 @@ type result = {
       (** The winner's verdict, or [Limit] when no arm decided
           ([Memout] only when every arm ran out of memory). *)
   winner : string option;
-  time_s : float;  (** Wall clock of the whole race, analysis included. *)
+  time_s : float;  (** Wall clock of the whole race. *)
   backends : backend_stats list;
-      (** One entry per spec, in spec order, preceded by the
-          {!analysis_arm_name} entry when the analyzer ran and followed by
-          one ["<spec>(retry)"] entry per degraded re-run that started.
-          For the analyzer arm, [nodes]/[fails] report statically
+      (** One entry per spec, in spec order, followed by one
+          ["<spec>(retry)"] entry per degraded re-run that started.
+          {!Core.run} puts its {!analysis_arm_name} entry in front when
+          the static pass ran: there [nodes]/[fails] report statically
           forced/blocked cells and a non-decisive pass shows as
           [Limit]. *)
 }
@@ -114,7 +122,6 @@ val solve :
   ?jobs:int ->
   ?budget:Prelude.Timer.budget ->
   ?seed:int ->
-  ?analyze:bool ->
   ?stall_beats:float ->
   ?domains:Analysis.Domains.t ->
   Rt_model.Taskset.t ->
@@ -131,23 +138,17 @@ val solve :
     The caller's [budget] wall/node limits apply to every arm, and so does
     its stop flag: the race installs its own flag for the winner signal,
     but the caller's flag is kept watched ({!Prelude.Timer.with_stop}), so
-    [Timer.cancel] on the original budget stops the analyzer and every
-    arm promptly and the race returns [Limit].  Each arm additionally
-    runs under a private {!Prelude.Timer.fork} of the race budget, which
-    is what the stall watchdog cancels: an arm whose heartbeats go silent
-    for [stall_beats] × {!Telemetry.heartbeat_interval} seconds (default
-    16 beats of 0.5 s) is cancelled alone and marked {!Stalled}, and its
-    domain backfills from the queue.  [stall_beats <= 0] disables the
-    watchdog.
+    [Timer.cancel] on the original budget stops every arm promptly and
+    the race returns [Limit].  Each arm additionally runs under a private
+    {!Prelude.Timer.fork} of the race budget, which is what the stall
+    watchdog cancels: an arm whose heartbeats go silent for [stall_beats]
+    × {!Telemetry.heartbeat_interval} seconds (default 16 beats of
+    0.5 s) is cancelled alone and marked {!Stalled}, and its domain
+    backfills from the queue.  [stall_beats <= 0] disables the watchdog.
 
-    Unless [analyze:false], the static analyzer runs first as a sequential
-    arm 0, capped by its own work-unit budget {e and} by half of
-    [budget]'s remaining wall clock ({!Prelude.Timer.sub}, so the caller's
-    limits and stop flag remain in force) — the search arms always keep at
-    least half the allowance: an [Infeasible] certificate or a statically built schedule
-    ends the race before any search arm starts, and a [Pruned] result
-    hands every arm the reduced domains.  Pass [domains] to supply
-    already-computed facts instead; the analyzer is then skipped.
+    [domains] (pruned domains from the static pass, typically
+    {!Core.run}'s) is handed to every arm; without it the arms search the
+    full domains.
     @raise Invalid_argument on [m < 1], an empty [specs], or a [domains]
     fingerprint that does not match the instance.
     @raise All_arms_crashed when every arm that ran crashed. *)
@@ -167,15 +168,6 @@ val run_spec :
     [backend] is {!spec_name}).  [memo_mb] and [nogoods] only reach
     [Csp2_opt]; [seed] only the randomized backends.  This is the engine
     table both the race and {!Core.run} dispatch through. *)
-
-val analysis_arm :
-  Analysis.report ->
-  [ `Decided of backend_stats | `Pruned of Analysis.Domains.t * backend_stats ]
-(** The analyzer's report as the {!analysis_arm_name} entry: a
-    refutation or a statically built schedule is [`Decided] (the entry is
-    the winner and carries the verdict); otherwise the pruned domains and
-    a non-decisive [Limit] entry whose [nodes]/[fails] count statically
-    forced/blocked cells. *)
 
 val summary : label:string -> result -> string
 (** One line: [label] (the solver's name), overall verdict, wall time,

@@ -32,6 +32,7 @@ let pow b e =
   go 1 b e
 
 let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
+let exceeds_product a b c = b <= max_int / c && a > b * c
 let sum = List.fold_left ( + ) 0
 
 let imod a b =

@@ -29,6 +29,11 @@ val pow : int -> int -> int
 val clamp : lo:int -> hi:int -> int -> int
 (** [clamp ~lo ~hi x] forces [x] into the closed interval [[lo, hi]]. *)
 
+val exceeds_product : int -> int -> int -> bool
+(** [exceeds_product a b c] is [a > b * c] for [a], [b] >= 0 and [c] > 0,
+    exact where [b * c] overflows: the product then exceeds every [int],
+    so the answer is [false] instead of a wrapped comparison. *)
+
 val sum : int list -> int
 
 val imod : int -> int -> int

@@ -12,7 +12,7 @@ type trigger =
 let catalogue =
   [
     "portfolio.arm_start";
-    "portfolio.analysis";
+    "core.static_pass";
     "csp2.node";
     "csp2opt.node";
     "csp2opt.memo_grow";

@@ -109,14 +109,6 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* The per-request pipeline. *)
 
-(* Exact necessary-condition check, U > m over the hyperperiod: answers
-   structurally infeasible requests without queueing any search.  The
-   product guard keeps the comparison exact — if [m * den] would overflow
-   then it exceeds [num] anyway. *)
-let front_door_infeasible ts ~m =
-  let num, den = Taskset.utilization_num_den ts in
-  if m <= max_int / den then num > m * den else false
-
 let decided_response (req : Proto.solve_request) ~verdict ~cached ~solver ~winner ~time_s
     ~stats ~schedule =
   {
@@ -155,7 +147,9 @@ let run t (req : Proto.solve_request) =
     invalid_arg (Printf.sprintf "m must be >= 1 (got %d)" req.Proto.m);
   let ts = Taskset.of_tuples req.Proto.tuples in
   let m = req.Proto.m in
-  if front_door_infeasible ts ~m then begin
+  (* Exact necessary-condition check, U > m over the hyperperiod: answers
+     structurally infeasible requests without queueing any search. *)
+  if Analysis.utilization_exceeds ts ~m then begin
     Atomic.incr t.front_door;
     decided_response req ~verdict:"infeasible" ~cached:false ~solver:(Some "front-door")
       ~winner:None ~time_s:0. ~stats:None ~schedule:None
@@ -170,8 +164,13 @@ let run t (req : Proto.solve_request) =
       (* Verify-on-hit: the cache is sound by construction (DESIGN.md
          §11), but a verified schedule costs O(m·H) against a search that
          cost orders more — cheap insurance.  A violation here is a bug,
-         surfaced as a contained crash, never as a wrong verdict. *)
-      (match Verify.check_cyclic ts sched with
+         surfaced as a contained crash, never as a wrong verdict.
+         Constrained sets take the direct checker, exact there because one
+         task's windows never overlap; the cyclic checker, whose per-task
+         jobs × H assignment table grows as H²/T, is for arbitrary
+         deadlines only. *)
+      let check = if Taskset.is_constrained ts then Verify.check else Verify.check_cyclic in
+      (match check ts sched with
       | Ok () -> ()
       | Error _ -> failwith ("serve cache returned an infeasible schedule for " ^ req.Proto.id));
       decided_response req ~verdict:"feasible" ~cached:true ~solver:None ~winner:None

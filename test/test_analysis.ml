@@ -242,6 +242,20 @@ let test_corrupted_certificates_rejected () =
   Alcotest.(check bool) "fabricated overload" false
     (validate Examples.running_example ~m:2 fake)
 
+(* m·T past max_int: a utilization step whose supply wrapped around below
+   the demand must not validate, and the exact filter must stay silent. *)
+let test_wrapped_supply_rejected () =
+  let ts = Examples.running_example in
+  let num, den = Taskset.utilization_num_den ts in
+  let m = (max_int / 2) + 1 in
+  let supply = m * den in
+  Alcotest.(check bool) "the product wraps below the demand" true (supply < num);
+  let cert =
+    { A.Certificate.m; steps = [ A.Certificate.Utilization { demand = num; supply } ] }
+  in
+  Alcotest.(check bool) "wrapped supply rejected" false (validate ts ~m cert);
+  Alcotest.(check bool) "filter silent" false (A.utilization_exceeds ts ~m)
+
 let test_certificate_pp () =
   let cert = infeasible_cert "interval trap" (analyze interval_trap ~m:1) in
   let s = Format.asprintf "%a" A.Certificate.pp cert in
@@ -457,6 +471,7 @@ let () =
         [
           Alcotest.test_case "corrupted certificates rejected" `Quick
             test_corrupted_certificates_rejected;
+          Alcotest.test_case "wrapped supply rejected" `Quick test_wrapped_supply_rejected;
           Alcotest.test_case "pretty-printing" `Quick test_certificate_pp;
         ] );
       ( "differential",

@@ -30,15 +30,18 @@ let test_complete_solvers_prove_infeasibility () =
         Alcotest.failf "%s should refute m=1" (Core.solver_name solver))
     [ Core.Csp1_generic; Core.Csp1_sat; Core.Csp2_generic; Core.default_solver ]
 
-let test_feasible_helper () =
-  Alcotest.(check (option bool)) "m=2" (Some true) (Core.feasible running ~m:2);
-  Alcotest.(check (option bool)) "m=1" (Some false) (Core.feasible running ~m:1);
-  Alcotest.(check (option bool)) "tiny budget -> None" None
-    (Core.feasible ~solver:Core.Csp1_generic
-       ~budget:(Prelude.Timer.budget ~nodes:1 ())
-       (fst (Gen.Generator.generate (Prelude.Prng.create ~seed:8)
-               (Gen.Generator.default ~n:10 ~m:(Gen.Generator.Fixed_m 5) ~tmax:7)))
-       ~m:5)
+let test_tiny_budget_undecided () =
+  (* What the static pass leaves open, one search node cannot decide. *)
+  let ts =
+    fst
+      (Gen.Generator.generate (Prelude.Prng.create ~seed:8)
+         (Gen.Generator.default ~n:10 ~m:(Gen.Generator.Fixed_m 5) ~tmax:7))
+  in
+  match
+    Core.solve ~solver:Core.Csp1_generic ~budget:(Prelude.Timer.budget ~nodes:1 ()) ts ~m:5
+  with
+  | (Core.Limit | Core.Memout _), _ -> ()
+  | (Core.Feasible _ | Core.Infeasible), _ -> Alcotest.fail "tiny budget -> undecided"
 
 let test_solver_names () =
   Alcotest.(check string) "default" "csp2+D-C" (Core.solver_name Core.default_solver);
@@ -211,7 +214,8 @@ let test_min_processors () =
      max_m cutoff instead. *)
   Alcotest.(check bool) "cutoff" true
     (Core.min_processors ~max_m:1 running = Core.All_infeasible);
-  Alcotest.(check (option int)) "exn wrapper" (Some 2) (Core.min_processors_exn running)
+  Alcotest.(check (option int)) "minimum as an option" (Some 2)
+    (match Core.min_processors running with Core.Exact m -> Some m | _ -> None)
 
 let test_min_processors_inconclusive () =
   (* A one-node budget times out at every m, so the search must admit it
@@ -253,6 +257,14 @@ let test_analyze_facade () =
   Alcotest.(check bool) "clone system returned" true
     (Taskset.is_constrained analyzed && not (Taskset.is_constrained ts))
 
+let test_huge_m_not_refuted () =
+  (* m·T past max_int: the exact utilization test used to wrap around and
+     refute a system that is feasible on two processors. *)
+  match Core.solve running ~m:(max_int / 4) with
+  | Core.Infeasible, _ -> Alcotest.fail "refuted on max_int/4 processors"
+  | (Core.Feasible _ | Core.Limit | Core.Memout _), _ -> ()
+  | exception Invalid_argument _ -> ()
+
 let test_static_pass_lets_local_search_refute () =
   (* Local search alone can never prove infeasibility; through the static
      pre-pass the facade still returns a refutation without searching. *)
@@ -285,12 +297,13 @@ let () =
             test_all_solvers_running_example;
           Alcotest.test_case "complete solvers refute" `Quick
             test_complete_solvers_prove_infeasibility;
-          Alcotest.test_case "feasible helper" `Quick test_feasible_helper;
+          Alcotest.test_case "tiny budget undecided" `Quick test_tiny_budget_undecided;
           Alcotest.test_case "solver names" `Quick test_solver_names;
           Alcotest.test_case "solver name round-trip" `Quick test_solver_name_round_trip;
           Alcotest.test_case "platform mismatch" `Quick test_platform_mismatch_rejected;
           Alcotest.test_case "sat rejects heterogeneous" `Quick test_sat_rejects_heterogeneous;
           Alcotest.test_case "analyze facade" `Quick test_analyze_facade;
+          Alcotest.test_case "huge m is not refuted" `Quick test_huge_m_not_refuted;
           Alcotest.test_case "static pass refutes for local search" `Quick
             test_static_pass_lets_local_search_refute;
           prop_verify_guard_all_solvers;

@@ -461,6 +461,42 @@ let test_metrics_detects_migration () =
   let m = Metrics.analyze ts s in
   Alcotest.(check bool) "migrations counted" true (m.Metrics.migrations >= 2)
 
+let prop_check_agrees_with_cyclic =
+  (* On constrained deadlines one task's windows never overlap, so the
+     direct checker is exact: it must accept and reject exactly what the
+     cyclic checker does — on solver schedules, on every single-cell
+     mutation of them, and on every swap of two cells of one processor
+     (which can keep a schedule feasible). *)
+  qtest ~count:60 "check agrees with check_cyclic on constrained sets"
+    (Test_util.instance_gen ~nmax:4 ~tmax:4 ())
+    (fun (ts, m) ->
+      match Csp2.Solver.solve ~budget:(Prelude.Timer.budget ~wall_s:5.0 ()) ts ~m with
+      | Encodings.Outcome.Feasible sched, _ ->
+        let ok check s = Result.is_ok (check ts s) in
+        let agree s = ok Verify.check s = ok Verify.check_cyclic s in
+        let horizon = Schedule.horizon sched in
+        let mutated ~proc ~time v =
+          let s = Schedule.copy sched in
+          Schedule.set s ~proc ~time v;
+          s
+        in
+        let all = ref (ok Verify.check sched && agree sched) in
+        for proc = 0 to m - 1 do
+          for time = 0 to horizon - 1 do
+            let here = Schedule.get sched ~proc ~time in
+            for v = Schedule.idle to Taskset.size ts - 1 do
+              if v <> here then all := !all && agree (mutated ~proc ~time v)
+            done;
+            for other = time + 1 to horizon - 1 do
+              let s = mutated ~proc ~time (Schedule.get sched ~proc ~time:other) in
+              Schedule.set s ~proc ~time:other here;
+              all := !all && agree s
+            done
+          done
+        done;
+        !all
+      | _ -> true)
+
 let prop_metrics_bounds =
   qtest ~count:50 "metrics of solver schedules are internally consistent"
     (Test_util.instance_gen ~nmax:4 ~tmax:4 ())
@@ -568,6 +604,7 @@ let () =
             test_check_cyclic_rejects_per_job_excess;
           Alcotest.test_case "cyclic: rejects wrong totals" `Quick
             test_check_cyclic_rejects_wrong_total;
+          prop_check_agrees_with_cyclic;
         ] );
       ( "clone",
         [

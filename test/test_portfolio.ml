@@ -63,13 +63,10 @@ let test_cancellation_prompt () =
   let ts, m = hard_instance () in
   let backstop = if injected () then 5. else 30. in
   let t0 = Prelude.Timer.start () in
-  (* [analyze:false]: this test exercises the race's cancellation
-     machinery, which needs an arm to actually search — the static
-     analyzer would refute the instance before any arm starts. *)
   let r =
     P.solve
       ~specs:[ P.Csp2 Csp2.Heuristic.DC; P.Local_search ]
-      ~jobs:2 ~analyze:false
+      ~jobs:2
       ~budget:(Prelude.Timer.budget ~wall_s:backstop ())
       ts ~m
   in
@@ -88,11 +85,10 @@ let test_cancellation_prompt () =
   | O.Feasible _ | O.Limit | O.Memout _ -> Alcotest.fail "r > 1: expected an infeasibility proof"
 
 (* Regression: [Timer.cancel] on the race budget must interrupt the whole
-   race — both the analyzer pre-pass (which runs under a [Timer.sub] of
-   the caller's budget, not a disconnected fresh one) and the racing arms
-   (whose [with_stop] budget keeps the caller's flag watched).  Before the
-   fix, a cancel landing after the race installed its internal stop flag
-   was never observed and the race ran to its wall limit. *)
+   race — the racing arms' [with_stop] budget keeps the caller's flag
+   watched.  Before the fix, a cancel landing after the race installed its
+   internal stop flag was never observed and the race ran to its wall
+   limit. *)
 let test_external_cancel_stops_race () =
   let ts, m = hard_instance () in
   let backstop = 30. in
@@ -107,7 +103,7 @@ let test_external_cancel_stops_race () =
         Prelude.Timer.cancel budget)
   in
   let r =
-    match P.solve ~specs:[ P.Local_search ] ~jobs:1 ~analyze:false ~budget ts ~m with
+    match P.solve ~specs:[ P.Local_search ] ~jobs:1 ~budget ts ~m with
     | r -> Some r
     | exception P.All_arms_crashed _ when injected () ->
       (* The injection matrix crashed the only arm of this race before the
@@ -129,8 +125,9 @@ let test_external_cancel_stops_race () =
       (elapsed < backstop /. 3.)
 
 let test_cancel_before_race_skips_analysis () =
-  (* A budget cancelled before the call returns [Limit] without running
-     the analyzer or any arm: every arm reports, none decisive. *)
+  (* A budget cancelled before the call returns [Limit] promptly: every
+     arm reports, none decisive, and the race lists no analyzer entry —
+     the static pass belongs to [Core.run], not to the race. *)
   let ts, m = hard_instance () in
   let budget = Prelude.Timer.budget ~wall_s:30. () in
   Prelude.Timer.cancel budget;
@@ -155,7 +152,6 @@ let test_no_winner_is_limit () =
   let r =
     P.solve
       ~specs:[ P.Csp2 Csp2.Heuristic.DC; P.Csp1_sat; P.Local_search ]
-      ~analyze:false
       ~budget:(Prelude.Timer.budget ~nodes:1 ())
       ts ~m
   in
@@ -180,11 +176,11 @@ let test_summary_line () =
   List.iter (fun b -> Alcotest.(check bool) b.P.name true (contains b.P.name)) r.P.backends
 
 let test_static_analysis_arm () =
-  (* Arm 0: a statically refutable instance ends the race before any
-     search arm starts — the analyzer is the winner and every spec shows
-     as never-started. *)
+  (* [Core.run]'s static pass: a statically refutable instance is decided
+     before the race starts — the analyzer is the winner and no search
+     arm reports an outcome. *)
   let ts, m = hard_instance () in
-  let r = P.solve ts ~m in
+  let r = Core.run ~solver:Core.Portfolio ts ~m in
   (match r.P.verdict with
   | O.Infeasible -> ()
   | O.Feasible _ | O.Limit | O.Memout _ -> Alcotest.fail "r > 1: expected a refutation");
@@ -194,8 +190,8 @@ let test_static_analysis_arm () =
       if b.P.name <> P.analysis_arm_name then
         Alcotest.(check bool) (b.P.name ^ " never started") true (b.P.outcome = None))
     r.P.backends;
-  (* A feasible race still lists the analyzer arm first, non-decisive. *)
-  let r = P.solve running ~m:2 in
+  (* A feasible race still lists the analyzer entry first, non-decisive. *)
+  let r = Core.run ~solver:Core.Portfolio running ~m:2 in
   match r.P.backends with
   | arm0 :: _ ->
     check Alcotest.string "arm 0 is the analyzer" P.analysis_arm_name arm0.P.name;
@@ -231,8 +227,8 @@ let test_core_run_portfolio_arbitrary_deadlines () =
   | O.Infeasible | O.Limit | O.Memout _ -> Alcotest.fail "arbitrary-deadline example is feasible"
 
 let test_core_run_lists_analysis_arm () =
-  (* The race runs the static pass as its own arm 0; the facade reports it
-     like every other arm. *)
+  (* [Core.run] runs the static pass in front of the race and reports it
+     like every arm. *)
   let r = Core.run ~solver:Core.Portfolio running ~m:2 in
   Alcotest.(check bool) "static-analysis arm listed" true
     (List.exists (fun (b : P.backend_stats) -> b.name = P.analysis_arm_name) r.P.backends)

@@ -269,7 +269,7 @@ let injection_specs = [ P.Csp2_opt Csp2.Heuristic.DC; P.Csp2 Csp2.Heuristic.DC; 
 let test_single_crash_contained () =
   with_clean_failpoints @@ fun () ->
   F.arm ~trigger:(F.Nth 1) "portfolio.arm_start" (F.Raise F.Out_of_memory);
-  let r = P.solve ~specs:injection_specs ~jobs:1 ~analyze:false ~seed:1 running ~m:2 in
+  let r = P.solve ~specs:injection_specs ~jobs:1 ~seed:1 running ~m:2 in
   (match r.P.verdict with
   | O.Feasible sched ->
     Alcotest.(check bool) "verified" true (Verify.is_feasible running sched)
@@ -286,11 +286,11 @@ let prop_containment_preserves_verdict =
       F.reset ();
       let budget () = Prelude.Timer.budget ~wall_s:5.0 () in
       let baseline =
-        P.solve ~specs:injection_specs ~jobs:1 ~analyze:false ~seed:7 ~budget:(budget ()) ts ~m
+        P.solve ~specs:injection_specs ~jobs:1 ~seed:7 ~budget:(budget ()) ts ~m
       in
       F.arm ~trigger:(F.Nth 1) "portfolio.arm_start" (F.Raise F.Out_of_memory);
       let injected =
-        P.solve ~specs:injection_specs ~jobs:1 ~analyze:false ~seed:7 ~budget:(budget ()) ts ~m
+        P.solve ~specs:injection_specs ~jobs:1 ~seed:7 ~budget:(budget ()) ts ~m
       in
       F.reset ();
       let crash_seen = List.exists arm_crashed injected.P.backends in
@@ -305,7 +305,7 @@ let prop_containment_preserves_verdict =
 let test_retry_csp2opt () =
   with_clean_failpoints @@ fun () ->
   F.arm ~trigger:(F.Nth 1) "portfolio.arm_start" (F.Raise F.Out_of_memory);
-  let r = P.solve ~specs:[ P.Csp2_opt Csp2.Heuristic.DC ] ~jobs:1 ~analyze:false running ~m:2 in
+  let r = P.solve ~specs:[ P.Csp2_opt Csp2.Heuristic.DC ] ~jobs:1 running ~m:2 in
   Alcotest.(check bool) "retry decided" true (O.is_feasible r.P.verdict);
   let original = find_arm "csp2-opt+D-C" r in
   Alcotest.(check bool) "original crashed" true (arm_crashed original);
@@ -317,7 +317,7 @@ let test_retry_csp2opt () =
 let test_retry_sat () =
   with_clean_failpoints @@ fun () ->
   F.arm ~trigger:(F.Nth 1) "portfolio.arm_start" (F.Raise F.Out_of_memory);
-  let r = P.solve ~specs:[ P.Csp1_sat ] ~jobs:1 ~analyze:false running ~m:2 in
+  let r = P.solve ~specs:[ P.Csp1_sat ] ~jobs:1 running ~m:2 in
   Alcotest.(check bool) "retry decided" true (O.is_feasible r.P.verdict);
   Alcotest.(check bool) "original crashed" true (arm_crashed (find_arm "csp1-sat" r));
   Alcotest.(check bool) "reseeded retry won" true (find_arm "csp1-sat(retry)" r).P.winner
@@ -327,8 +327,7 @@ let test_all_arms_crashed () =
   F.arm "portfolio.arm_start" (F.Raise F.Out_of_memory);
   (* Neither of these specs has a degraded retry: exactly two crashes. *)
   match
-    P.solve ~specs:[ P.Csp2 Csp2.Heuristic.DC; P.Local_search ] ~jobs:1 ~analyze:false running
-      ~m:2
+    P.solve ~specs:[ P.Csp2 Csp2.Heuristic.DC; P.Local_search ] ~jobs:1 running ~m:2
   with
   | _ -> Alcotest.fail "expected All_arms_crashed"
   | exception P.All_arms_crashed crashes ->
@@ -340,7 +339,7 @@ let test_retry_capped_at_one () =
   (* An always-firing crash kills the original *and* its one degraded
      retry; the race must then give up typed rather than loop. *)
   F.arm "portfolio.arm_start" (F.Raise F.Out_of_memory);
-  match P.solve ~specs:[ P.Csp1_sat ] ~jobs:1 ~analyze:false running ~m:2 with
+  match P.solve ~specs:[ P.Csp1_sat ] ~jobs:1 running ~m:2 with
   | _ -> Alcotest.fail "expected All_arms_crashed"
   | exception P.All_arms_crashed crashes ->
     let names = List.map fst crashes in
@@ -352,11 +351,17 @@ let test_retry_capped_at_one () =
 
 let test_analyzer_crash_contained () =
   with_clean_failpoints @@ fun () ->
-  F.arm "portfolio.analysis" (F.Raise F.Out_of_memory);
-  let r = P.solve ~jobs:2 running ~m:2 in
-  Alcotest.(check bool) "race decided without the analyzer" true (O.is_feasible r.P.verdict);
-  Alcotest.(check bool) "analyzer crash recorded" true
-    (arm_crashed (find_arm P.analysis_arm_name r))
+  (* The static pass runs contained in front of every solver: a crash is
+     listed, and the engine — the race or the default solver — decides
+     without pruned domains. *)
+  F.arm "core.static_pass" (F.Raise F.Out_of_memory);
+  List.iter
+    (fun (solver, jobs) ->
+      let r = Core.run ~solver ?jobs running ~m:2 in
+      Alcotest.(check bool) "race decided without the analyzer" true (O.is_feasible r.P.verdict);
+      Alcotest.(check bool) "analyzer crash recorded" true
+        (arm_crashed (find_arm P.analysis_arm_name r)))
+    [ (Core.Portfolio, Some 2); (Core.default_solver, None) ]
 
 let test_stall_watchdog_cancels_arm () =
   with_clean_failpoints @@ fun () ->
@@ -370,7 +375,7 @@ let test_stall_watchdog_cancels_arm () =
   let r =
     P.solve
       ~specs:[ P.Local_search; P.Csp2 Csp2.Heuristic.DC ]
-      ~jobs:1 ~analyze:false ~stall_beats:3. ts ~m
+      ~jobs:1 ~stall_beats:3. ts ~m
   in
   (match r.P.verdict with
   | O.Infeasible -> ()
@@ -414,19 +419,25 @@ let test_error_exit_codes () =
         (String.length (Core.error_message e) > 0))
     [ Core.Invalid_input "x"; Core.Overflow "x"; Core.All_arms_crashed [ ("a", "boom") ] ]
 
-let test_solve_result () =
-  (match Core.solve_result running ~m:2 with
+(* [Core.solve] with the classified exceptions caught into [Error]. *)
+let solve_classified ?solver ts ~m =
+  match Core.solve ?solver ts ~m with
+  | v -> Ok v
+  | exception e -> ( match Core.error_of_exn e with Some err -> Error err | None -> raise e)
+
+let test_solve_classified () =
+  (match solve_classified running ~m:2 with
   | Ok (Core.Feasible _, _) -> ()
   | Ok _ -> Alcotest.fail "running example is feasible on m=2"
   | Error e -> Alcotest.fail ("unexpected error: " ^ Core.error_message e));
-  match Core.solve_result running ~m:0 with
+  match solve_classified running ~m:0 with
   | Error (Core.Invalid_input _) -> ()
   | Ok _ | Error _ -> Alcotest.fail "m=0 must classify as invalid input"
 
-let test_solve_result_all_arms_crashed () =
+let test_solve_classified_all_arms_crashed () =
   with_clean_failpoints @@ fun () ->
   F.arm "portfolio.arm_start" (F.Raise F.Out_of_memory);
-  match Core.solve_result ~solver:Core.Portfolio running ~m:2 with
+  match solve_classified ~solver:Core.Portfolio running ~m:2 with
   | Error (Core.All_arms_crashed crashes) ->
     Alcotest.(check bool) "crash list non-empty" true (crashes <> [])
   | Ok _ -> Alcotest.fail "every arm crashes: no verdict possible"
@@ -480,8 +491,8 @@ let () =
         [
           Alcotest.test_case "classifier" `Quick test_error_classifier;
           Alcotest.test_case "exit codes and messages" `Quick test_error_exit_codes;
-          Alcotest.test_case "solve_result" `Quick test_solve_result;
-          Alcotest.test_case "solve_result all-arms-crashed" `Quick
-            test_solve_result_all_arms_crashed;
+          Alcotest.test_case "classified solve" `Quick test_solve_classified;
+          Alcotest.test_case "classified solve all-arms-crashed" `Quick
+            test_solve_classified_all_arms_crashed;
         ] );
     ]
